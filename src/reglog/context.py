@@ -92,11 +92,6 @@ def terminal_ctx() -> Context:
     return Context((), ())
 
 
-def support_ctx(symbol: str) -> Context:
-    """The context with no ports whose support is the single given symbol."""
-    return mk_context((), (symbol,))
-
-
 def oplus(left: Context, right: Context) -> Context:
     """Concatenate port lists and union supports.
 
@@ -256,17 +251,6 @@ def braid_cm(left: Context, right: Context) -> ContextMorphism:
     n1, n2 = left.arity, right.arity
     port_map = tuple(range(n1, n1 + n2)) + tuple(range(n1))
     return ContextMorphism(oplus(left, right), oplus(right, left), port_map)
-
-
-def canonical_maps(c: Context, other: Context) -> dict[str, ContextMorphism]:
-    """The structure maps used throughout: diagonal, projections, discard, braid."""
-    return {
-        "delta": diagonal_cm(c),
-        "pi1": proj1_cm(c, other),
-        "pi2": proj2_cm(c, other),
-        "epsilon": terminal_cm(c),
-        "sigma": braid_cm(c, other),
-    }
 
 
 def enumerate_morphisms(dom: Context, cod: Context) -> Iterator[ContextMorphism]:

@@ -26,9 +26,6 @@ from .context import Context, mk_context, oplus, terminal_ctx
 from .errors import CompositionError, ValidationError
 from .model import FinRelation, ModelInstance, mk_relation, true_rel
 
-Rows = frozenset
-Row = tuple
-
 
 @dataclass(frozen=True)
 class SynObject:
@@ -55,43 +52,30 @@ def terminal_syn() -> SynObject:
 
 
 def oplus_obj(left: SynObject, right: SynObject) -> SynObject:
+    ctx = oplus(left.context, right.context)
     rows = frozenset(
         a + b for a in left.predicate.tuples for b in right.predicate.tuples
     )
-    return SynObject(oplus(left.context, right.context), FinRelation(
-        oplus(left.context, right.context), rows
-    ))
+    return SynObject(ctx, FinRelation(ctx, rows))
 
 
 @dataclass(frozen=True)
 class InternalRelation:
-    """A relation ``dom -> cod`` whose marginals respect the endpoint predicates."""
+    """A relation ``dom -> cod`` whose marginals respect the endpoint predicates.
+
+    Each row is a row of the domain predicate followed by a row of the
+    codomain predicate.  :func:`mk_internal_relation` checks this for rows
+    that come from outside; the operations of this module build their
+    results directly, because they preserve it.
+    """
 
     dom: SynObject
     cod: SynObject
-    theta: FinRelation
-
-    def __post_init__(self):
-        expected = oplus(self.dom.context, self.cod.context)
-        if self.theta.context != expected:
-            raise ValidationError(
-                f"relation context {self.theta.context} differs from {expected}"
-            )
-        n1 = self.dom.context.arity
-        left = frozenset(row[:n1] for row in self.theta.tuples)
-        right = frozenset(row[n1:] for row in self.theta.tuples)
-        if not left <= self.dom.predicate.tuples:
-            raise ValidationError("left marginal escapes the domain predicate")
-        if not right <= self.cod.predicate.tuples:
-            raise ValidationError("right marginal escapes the codomain predicate")
-
-    @property
-    def rows(self) -> frozenset[tuple[str, ...]]:
-        return self.theta.tuples
+    rows: frozenset[tuple[str, ...]]
 
     def split_rows(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
         n1 = self.dom.context.arity
-        for row in self.theta.tuples:
+        for row in self.rows:
             yield row[:n1], row[n1:]
 
     def left_marginal(self) -> frozenset[tuple[str, ...]]:
@@ -104,12 +88,19 @@ class InternalRelation:
 def mk_internal_relation(
     dom: SynObject, cod: SynObject, rows: Iterable[tuple[str, ...]]
 ) -> InternalRelation:
-    ctx = oplus(dom.context, cod.context)
-    return InternalRelation(dom, cod, mk_relation(ctx, rows))
+    """Validating constructor: both marginals must lie inside the endpoint
+    predicates, which also rules out rows of the wrong arity."""
+    rows = frozenset(tuple(row) for row in rows)
+    n1 = dom.context.arity
+    if not {row[:n1] for row in rows} <= dom.predicate.tuples:
+        raise ValidationError("left marginal escapes the domain predicate")
+    if not {row[n1:] for row in rows} <= cod.predicate.tuples:
+        raise ValidationError("right marginal escapes the codomain predicate")
+    return InternalRelation(dom, cod, rows)
 
 
 def identity_ir(o: SynObject) -> InternalRelation:
-    return mk_internal_relation(o, o, (row + row for row in o.predicate.tuples))
+    return InternalRelation(o, o, frozenset(row + row for row in o.predicate.tuples))
 
 
 def compose_ir(first: InternalRelation, second: InternalRelation) -> InternalRelation:
@@ -123,12 +114,12 @@ def compose_ir(first: InternalRelation, second: InternalRelation) -> InternalRel
     for x, y in first.split_rows():
         for z in by_middle.get(y, ()):
             rows.add(x + z)
-    return mk_internal_relation(first.dom, second.cod, rows)
+    return InternalRelation(first.dom, second.cod, frozenset(rows))
 
 
 def transpose_ir(rel: InternalRelation) -> InternalRelation:
-    return mk_internal_relation(
-        rel.cod, rel.dom, (y + x for x, y in rel.split_rows())
+    return InternalRelation(
+        rel.cod, rel.dom, frozenset(y + x for x, y in rel.split_rows())
     )
 
 
@@ -141,34 +132,30 @@ def leq_ir(lower: InternalRelation, upper: InternalRelation) -> bool:
 def meet_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
     if a.dom != b.dom or a.cod != b.cod:
         raise CompositionError("meet needs parallel relations")
-    return mk_internal_relation(a.dom, a.cod, a.rows & b.rows)
+    return InternalRelation(a.dom, a.cod, a.rows & b.rows)
 
 
 def tensor_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
-    rows = (
+    rows = frozenset(
         xa + xb + ya + yb
         for xa, ya in a.split_rows()
         for xb, yb in b.split_rows()
     )
-    return mk_internal_relation(
-        oplus_obj(a.dom, b.dom), oplus_obj(a.cod, b.cod), rows
-    )
+    return InternalRelation(oplus_obj(a.dom, b.dom), oplus_obj(a.cod, b.cod), rows)
 
 
 def braid_ir(left: SynObject, right: SynObject) -> InternalRelation:
-    rows = (
+    rows = frozenset(
         a + b + b + a
         for a in left.predicate.tuples
         for b in right.predicate.tuples
     )
-    return mk_internal_relation(
-        oplus_obj(left, right), oplus_obj(right, left), rows
-    )
+    return InternalRelation(oplus_obj(left, right), oplus_obj(right, left), rows)
 
 
 def delta_ir(o: SynObject) -> InternalRelation:
-    return mk_internal_relation(
-        o, oplus_obj(o, o), (row + row + row for row in o.predicate.tuples)
+    return InternalRelation(
+        o, oplus_obj(o, o), frozenset(row + row + row for row in o.predicate.tuples)
     )
 
 
@@ -178,7 +165,7 @@ def mu_ir(o: SynObject) -> InternalRelation:
 
 def bang(o: SynObject) -> InternalRelation:
     """The discard map to the terminal object."""
-    return mk_internal_relation(o, terminal_syn(), o.predicate.tuples)
+    return InternalRelation(o, terminal_syn(), o.predicate.tuples)
 
 
 def eta_ir(o: SynObject) -> InternalRelation:
@@ -239,10 +226,10 @@ def enumerate_functions(dom: SynObject, cod: SynObject) -> list[InternalRelation
     ys = sorted(cod.predicate.tuples)
     if xs and not ys:
         return []
-    out = []
-    for choice in itertools.product(ys, repeat=len(xs)):
-        out.append(graph_ir(dom, cod, dict(zip(xs, choice))))
-    return out
+    return [
+        InternalRelation(dom, cod, frozenset(x + y for x, y in zip(xs, choice)))
+        for choice in itertools.product(ys, repeat=len(xs))
+    ]
 
 
 def enumerate_relations(dom: SynObject, cod: SynObject) -> list[InternalRelation]:
@@ -250,11 +237,11 @@ def enumerate_relations(dom: SynObject, cod: SynObject) -> list[InternalRelation
     space = sorted(
         x + y for x in dom.predicate.tuples for y in cod.predicate.tuples
     )
-    out = []
-    for k in range(len(space) + 1):
-        for rows in itertools.combinations(space, k):
-            out.append(mk_internal_relation(dom, cod, rows))
-    return out
+    return [
+        InternalRelation(dom, cod, frozenset(rows))
+        for k in range(len(space) + 1)
+        for rows in itertools.combinations(space, k)
+    ]
 
 
 def pullback_ir(
@@ -274,8 +261,8 @@ def pullback_ir(
             rows.add(x1 + x2)
     apex = mk_syn_object(oplus(t1.dom.context, t2.dom.context), rows)
     n1 = t1.dom.context.arity
-    p1 = mk_internal_relation(apex, t1.dom, (row + row[:n1] for row in rows))
-    p2 = mk_internal_relation(apex, t2.dom, (row + row[n1:] for row in rows))
+    p1 = InternalRelation(apex, t1.dom, frozenset(row + row[:n1] for row in rows))
+    p2 = InternalRelation(apex, t2.dom, frozenset(row + row[n1:] for row in rows))
     return apex, p1, p2
 
 
@@ -306,7 +293,7 @@ def equalizer_ir(
     n1 = t1.dom.context.arity
     agree = frozenset(row[:n1] for row in t1.rows & t2.rows)
     obj = mk_syn_object(t1.dom.context, agree)
-    incl = mk_internal_relation(obj, t1.dom, (x + x for x in agree))
+    incl = InternalRelation(obj, t1.dom, frozenset(x + x for x in agree))
     return obj, incl
 
 
@@ -316,8 +303,8 @@ def image_ir(
     """Factor through the right marginal: regular epi followed by mono."""
     im = rel.right_marginal()
     image = mk_syn_object(rel.cod.context, im)
-    epi = InternalRelation(rel.dom, image, rel.theta)
-    mono = mk_internal_relation(image, rel.cod, (y + y for y in im))
+    epi = InternalRelation(rel.dom, image, rel.rows)
+    mono = InternalRelation(image, rel.cod, frozenset(y + y for y in im))
     return epi, mono
 
 
@@ -573,24 +560,11 @@ def _hom_sweep_checks(
         for o2 in small:
             if o1.context.arity + o2.context.arity > bounds.hom_arity:
                 continue
-            space = sorted(
-                x + y
-                for x in o1.predicate.tuples
-                for y in o2.predicate.tuples
-            )
-            if len(space) > bounds.max_tuple_space:
+            if len(o1.predicate) * len(o2.predicate) > bounds.max_tuple_space:
                 continue
-            n1 = o1.context.arity
             full1 = o1.predicate.tuples
-            full2 = o2.predicate.tuples
-            rels = []
-            for k in range(len(space) + 1):
-                for rows in itertools.combinations(space, k):
-                    rels.append(
-                        mk_internal_relation(o1, o2, rows)
-                    )
             functions = []
-            for rel in rels:
+            for rel in enumerate_relations(o1, o2):
                 # frame condition: squeezing between the identities is a no-op
                 squeezed = compose_ir(
                     compose_ir(identity_ir(o1), rel), identity_ir(o2)

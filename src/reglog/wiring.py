@@ -89,23 +89,10 @@ class WiringDiagram:
         used = set(self.dot_types)
         return tuple(s for s in self.support if s not in used)
 
-    def structural_hash(self) -> int:
-        """A 64-bit hash of the normal form, for fast comparison tables."""
-        return hash(self) & 0xFFFFFFFFFFFFFFFF
-
 
 def normalize(w: WiringDiagram) -> WiringDiagram:
     """Renumber dots by first occurrence in the port scan; idempotent."""
-    order: dict[int, int] = {}
-    for row in w.wires:
-        for d in row:
-            if d not in order:
-                order[d] = len(order)
-    dot_types = tuple(
-        w.dot_types[old] for old, _ in sorted(order.items(), key=lambda kv: kv[1])
-    )
-    wires = tuple(tuple(order[d] for d in row) for row in w.wires)
-    return WiringDiagram(w.inner, w.outer, dot_types, w.support, wires)
+    return mk_wiring(w.inner, w.outer, w.dot_types, w.wires, w.support)
 
 
 def mk_wiring(
@@ -117,7 +104,7 @@ def mk_wiring(
 ) -> WiringDiagram:
     """Validating constructor.  Dots hit by no port are absorbed into the
     support, the support is completed to cover dots and shells, and the result
-    is normalized."""
+    is normalized.  Errors name dots by their 1-based input position."""
     inner = tuple(inner)
     dot_types = tuple(dot_types)
     wires = tuple(tuple(row) for row in wires)
@@ -140,24 +127,24 @@ def mk_wiring(
                     f"port {p + 1} of shell {shell} has type "
                     f"{shell.port_types[p]} but dot {d + 1} has type {dot_types[d]}"
                 )
-    hit = {d for row in wires for d in row}
-    keep = [d for d in range(len(dot_types)) if d in hit]
-    absorbed = [dot_types[d] for d in range(len(dot_types)) if d not in hit]
-    remap = {d: k for k, d in enumerate(keep)}
+    # Number dots by first occurrence in the port scan; a dot no port
+    # touches gets no number, and its type stays only in the support.
+    order: dict[int, int] = {}
+    for row in wires:
+        for d in row:
+            order.setdefault(d, len(order))
     support = _canon_support(
-        tuple(dot_types)
-        + tuple(absorbed)
+        dot_types
         + tuple(extra_support)
         + tuple(s for shell in shells for s in shell.support)
     )
-    w = WiringDiagram(
+    return WiringDiagram(
         inner,
         outer,
-        tuple(dot_types[d] for d in keep),
+        tuple(dot_types[d] for d in order),
         support,
-        tuple(tuple(remap[d] for d in row) for row in wires),
+        tuple(tuple(order[d] for d in row) for row in wires),
     )
-    return normalize(w)
 
 
 def identity_wd(c: Context) -> WiringDiagram:
@@ -313,18 +300,6 @@ def braid_wd(left: Context, right: Context) -> WiringDiagram:
     from .context import braid_cm
 
     return graph_wd(braid_cm(left, right))
-
-
-def generators_wd(c: Context, other: Context) -> dict[str, WiringDiagram]:
-    """The generating diagrams at ``c`` (and the braid with ``other``)."""
-    return {
-        "identity": identity_wd(c),
-        "delta": delta_wd(c),
-        "mu": mu_wd(c),
-        "epsilon": epsilon_wd(c),
-        "eta": eta_wd(c),
-        "sigma": braid_wd(c, other),
-    }
 
 
 def permute_outer_blocks(

@@ -18,7 +18,6 @@ from hypothesis import given, strategies as st
 from reglog.context import (
     ContextMorphism,
     braid_cm,
-    canonical_maps,
     compose_cm,
     diagonal_cm,
     enumerate_morphisms,
@@ -150,16 +149,17 @@ class TestCategoryLaws:
     def test_canonical_maps_typecheck(self):
         a = mk_context(("x", "y"), ("z",))
         b = mk_context(("y",))
-        maps = canonical_maps(a, b)
-        assert maps["delta"] == diagonal_cm(a)
-        assert maps["pi1"] == proj1_cm(a, b)
-        assert maps["pi2"] == proj2_cm(a, b)
-        assert maps["epsilon"].cod == terminal_ctx()
-        assert maps["sigma"] == braid_cm(a, b)
+        delta = diagonal_cm(a)
+        pi1, pi2 = proj1_cm(a, b), proj2_cm(a, b)
+        sigma = braid_cm(a, b)
+        assert (delta.dom, delta.cod) == (a, oplus(a, a))
+        assert pi2.dom == oplus(a, b)
+        assert terminal_cm(a).cod == terminal_ctx()
+        assert (sigma.dom, sigma.cod) == (oplus(a, b), oplus(b, a))
         # Projections recover the factors of the product context.
-        assert maps["pi1"].dom == oplus(a, b)
-        assert maps["pi1"].cod == a
-        assert maps["pi2"].cod == b
+        assert pi1.dom == oplus(a, b)
+        assert pi1.cod == a
+        assert pi2.cod == b
 
 
 class TestEnumerateMorphisms:

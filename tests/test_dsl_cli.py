@@ -430,6 +430,21 @@ class TestCli:
         path = write_ws(tmp_path)
         code, _, err = run_cli(capsys, path, "eval", "missing")
         assert code == 2 and "unknown term" in err
+        # The error names the dot by its declared position (b is dot 2),
+        # not by its number in the normal form (where b would be dot 1).
+        mistyped = write_ws(
+            tmp_path,
+            "type x, y;\n"
+            "diagram d : ((x)) -> () {\n"
+            "  dot a : x;\n"
+            "  dot b : y;\n"
+            "  wire in1.1 -> b;\n"
+            "}\n",
+            name="mistyped.rl",
+        )
+        code, _, err = run_cli(capsys, mistyped, "validate")
+        assert code == 2
+        assert "line 2: port 1 of shell (x) has type x but dot 2 has type y" in err
 
     def test_console_script_subprocess(self, tmp_path):
         path = write_ws(tmp_path)

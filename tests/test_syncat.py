@@ -94,6 +94,13 @@ class TestObjects:
             mk_internal_relation(O2, O1, [("2", "0")])
         with pytest.raises(ValidationError):
             mk_internal_relation(O2, O1, [("0", "1")])
+        # Rows given by the caller go through the same check.
+        with pytest.raises(ValidationError):
+            graph_ir(O2, O1, {("0",): ("0",), ("1",): ("1",)})
+        u = graph_ir(O2, O2, {("0",): ("1",), ("1",): ("0",)})
+        misses = mk_syn_object(oplus(O2.context, O2.context), [("1", "1")])
+        with pytest.raises(ValidationError):
+            pair_ir(u, u, misses)
 
     def test_subobject_family(self):
         subs = subobjects(O2)
@@ -122,6 +129,45 @@ class TestCategoryStructure:
             assert transpose_ir(compose_ir(f, g)) == compose_ir(
                 transpose_ir(g), transpose_ir(f)
             )
+
+    def test_results_are_valid_by_construction(self):
+        # The operations build their results without the marginal check of
+        # mk_internal_relation; every result must still pass it.
+        rng = Random(605)
+        objs = [O2, O1, oplus_obj(O2, O1), terminal_syn()]
+        results = []
+        for a in objs:
+            for b in objs:
+                results += enumerate_functions(a, b)
+                results += enumerate_relations(a, b)
+        for _ in range(100):
+            a, b, c = (rng.choice(objs) for _ in range(3))
+            f, f2 = rand_ir(rng, a, b), rand_ir(rng, a, b)
+            g = rand_ir(rng, b, c)
+            t1, t1b = (rng.choice(enumerate_functions(a, c)) for _ in range(2))
+            t2 = rng.choice(enumerate_functions(b, c))
+            _, p1, p2 = pullback_ir(t1, t2)
+            _, incl = equalizer_ir(t1, t1b)
+            epi, mono = image_ir(f)
+            results += [
+                identity_ir(a),
+                compose_ir(f, g),
+                transpose_ir(f),
+                meet_ir(f, f2),
+                tensor_ir(f, g),
+                braid_ir(a, b),
+                delta_ir(a),
+                mu_ir(a),
+                bang(a),
+                eta_ir(a),
+                p1,
+                p2,
+                incl,
+                epi,
+                mono,
+            ]
+        for r in results:
+            assert mk_internal_relation(r.dom, r.cod, r.rows) == r
 
     def test_composition_needs_matching_middle(self):
         with pytest.raises(CompositionError):

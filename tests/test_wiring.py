@@ -33,7 +33,6 @@ from reglog.wiring import (
     empty_wd,
     epsilon_wd,
     eta_wd,
-    generators_wd,
     graph_wd,
     identity_wd,
     leq_wd,
@@ -318,13 +317,13 @@ class TestGenerators:
     def test_generator_table_shapes(self):
         c = mk_context(("x", "y"))
         other = mk_context(("y",))
-        table = generators_wd(c, other)
-        assert table["identity"] == identity_wd(c)
-        assert table["delta"].outer == oplus(c, c)
-        assert table["mu"].inner == (oplus(c, c),)
-        assert table["epsilon"].outer == terminal_ctx()
-        assert table["eta"].inner == (terminal_ctx(),)
-        assert table["sigma"].outer == oplus(other, c)
+        ident = identity_wd(c)
+        assert (ident.inner, ident.outer) == ((c,), c)
+        assert delta_wd(c).outer == oplus(c, c)
+        assert mu_wd(c).inner == (oplus(c, c),)
+        assert epsilon_wd(c).outer == terminal_ctx()
+        assert eta_wd(c).inner == (terminal_ctx(),)
+        assert braid_wd(c, other).outer == oplus(other, c)
 
     def test_graph_is_functorial(self):
         rng = Random(211)
