@@ -4,8 +4,9 @@
 The model comes from a workspace file, or from a built-in two-type fixture
 with two binary predicates when no file is given.  The report covers every
 named structural check at the requested search bounds, then a census of
-relations and functions for each ordered pair of types, with wall-clock
-timings.  Exit status is 0 when everything passes, 1 otherwise.
+relations and functions for each ordered pair of types.  Each check shows
+the wall time of the sweep that computed it, as the report records it; each
+census shows its own wall time.  Exit status is 0 when everything passes, 1 otherwise.
 
 Usage::
 
@@ -60,12 +61,13 @@ def main() -> int:
         max_tuple_space=opts.tuple_space,
         limit_objects=opts.objects,
     )
-    started = time.perf_counter()
     report = check_regular_axioms(model, bounds)
-    elapsed = time.perf_counter() - started
     print()
-    print(f"axiom suite at {bounds} ({elapsed:.2f}s)")
-    print(report.summary())
+    print(f"axiom suite at {bounds}, with the time of the sweep behind each check:")
+    lines = report.summary().splitlines()
+    for check, line in zip(report.checks, lines):
+        print(f"{line} ({check.seconds:.2f}s)")
+    print(lines[-1])
 
     ok = report.ok
     print()

@@ -19,6 +19,7 @@ broken operation shows up with a concrete counterexample.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -107,14 +108,15 @@ def compose_ir(first: InternalRelation, second: InternalRelation) -> InternalRel
     """Relational join ``first ; second`` on the shared middle block."""
     if first.cod != second.dom:
         raise CompositionError("middle objects differ")
+    n1 = first.dom.context.arity
+    n2 = second.dom.context.arity
     by_middle: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for y, z in second.split_rows():
-        by_middle.setdefault(y, []).append(z)
-    rows = set()
-    for x, y in first.split_rows():
-        for z in by_middle.get(y, ()):
-            rows.add(x + z)
-    return InternalRelation(first.dom, second.cod, frozenset(rows))
+    for row in second.rows:
+        by_middle.setdefault(row[:n2], []).append(row[n2:])
+    rows = frozenset(
+        row[:n1] + z for row in first.rows for z in by_middle.get(row[n1:], ())
+    )
+    return InternalRelation(first.dom, second.cod, rows)
 
 
 def transpose_ir(rel: InternalRelation) -> InternalRelation:
@@ -354,6 +356,7 @@ class CheckResult:
     ok: bool
     cases: int
     witness: str = ""
+    seconds: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -361,6 +364,7 @@ class CheckResult:
             "ok": self.ok,
             "cases": self.cases,
             "witness": self.witness,
+            "seconds": self.seconds,
         }
 
 
@@ -563,12 +567,12 @@ def _hom_sweep_checks(
             if len(o1.predicate) * len(o2.predicate) > bounds.max_tuple_space:
                 continue
             full1 = o1.predicate.tuples
+            id1, id2 = identity_ir(o1), identity_ir(o2)
             functions = []
             for rel in enumerate_relations(o1, o2):
                 # frame condition: squeezing between the identities is a no-op
-                squeezed = compose_ir(
-                    compose_ir(identity_ir(o1), rel), identity_ir(o2)
-                )
+                left_unit = compose_ir(id1, rel)
+                squeezed = compose_ir(left_unit, id2)
                 validity.cases += 1
                 if validity.ok and squeezed.rows != rel.rows:
                     validity.ok = False
@@ -582,8 +586,7 @@ def _hom_sweep_checks(
                     invol.ok = False
                     invol.witness = f"{o1} -> {o2}"
                 unital.cases += 1
-                left_unit = compose_ir(identity_ir(o1), rel)
-                right_unit = compose_ir(rel, identity_ir(o2))
+                right_unit = compose_ir(rel, id2)
                 if unital.ok and not (
                     left_unit.rows == rel.rows == right_unit.rows
                 ):
@@ -624,11 +627,12 @@ def _hom_sweep_checks(
                 continue
             if len(o1.predicate) * len(o2.predicate) > bounds.max_tuple_space:
                 continue
+            id1, id2 = identity_ir(o1), identity_ir(o2)
             backwards = enumerate_relations(o2, o1)
             for rel in enumerate_relations(o1, o2):
                 has_adjoint = any(
-                    leq_ir(identity_ir(o1), compose_ir(rel, xi))
-                    and leq_ir(compose_ir(xi, rel), identity_ir(o2))
+                    leq_ir(id1, compose_ir(rel, xi))
+                    and leq_ir(compose_ir(xi, rel), id2)
                     for xi in backwards
                 )
                 adjoint.cases += 1
@@ -638,7 +642,7 @@ def _hom_sweep_checks(
     return [validity, threeway, discrete, remark, invol, unital, adjoint]
 
 
-def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> CheckResult:
+def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]:
     check = CheckResult("composition_associative", True, 0)
     chain_objs = []
     for c in contexts_up_to(model.domains.keys(), 1):
@@ -653,26 +657,42 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> CheckResult:
         as_ = enumerate_relations(o1, o2)
         bs = enumerate_relations(o2, o3)
         cs = enumerate_relations(o3, o4)
-        for a in as_:
-            for b in bs:
+        bcs = [[compose_ir(b, c) for c in cs] for b in bs]
+        # (a;b);c depends on a;b only through its rows, and a;(b;c) on b;c
+        lhs_of: dict[tuple[frozenset, int], frozenset] = {}
+        rhs_of: dict[tuple[int, frozenset], frozenset] = {}
+        for a_idx, a in enumerate(as_):
+            for b, b_then in zip(bs, bcs):
                 ab = compose_ir(a, b)
-                for c in cs:
+                for c_idx, (c, bc) in enumerate(zip(cs, b_then)):
                     check.cases += 1
-                    lhs = compose_ir(ab, c)
-                    rhs = compose_ir(a, compose_ir(b, c))
-                    if check.ok and lhs.rows != rhs.rows:
+                    lhs = lhs_of.get((ab.rows, c_idx))
+                    if lhs is None:
+                        lhs = lhs_of[ab.rows, c_idx] = compose_ir(ab, c).rows
+                    rhs = rhs_of.get((a_idx, bc.rows))
+                    if rhs is None:
+                        rhs = rhs_of[a_idx, bc.rows] = compose_ir(a, bc).rows
+                    if check.ok and lhs != rhs:
                         check.ok = False
                         check.witness = f"{o1} -> {o2} -> {o3} -> {o4}"
-                        return check
-    return check
+                        return [check]
+    return [check]
 
 
 def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]:
     family = _limit_family(model, bounds)
+    n = len(family)
     funcs: dict[tuple[int, int], list[InternalRelation]] = {}
     for i, a in enumerate(family):
         for j, b in enumerate(family):
             funcs[i, j] = enumerate_functions(a, b)
+    # after[x, i, k][p][q]: the rows of funcs[x, i][p] ; funcs[i, k][q]
+    after = {
+        (x, i, k): [[compose_ir(u, t).rows for t in funcs[i, k]] for u in funcs[x, i]]
+        for x in range(n)
+        for i in range(n)
+        for k in range(n)
+    }
 
     pb_exists = CheckResult("pullback_square_commutes", True, 0)
     pb_unique = CheckResult("pullback_mediator_unique", True, 0)
@@ -680,8 +700,8 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
     for k, o in enumerate(family):
         for i, o1 in enumerate(family):
             for j, o2 in enumerate(family):
-                for t1 in funcs[i, k]:
-                    for t2 in funcs[j, k]:
+                for q1, t1 in enumerate(funcs[i, k]):
+                    for q2, t2 in enumerate(funcs[j, k]):
                         apex, p1, p2 = pullback_ir(t1, t2)
                         pb_exists.cases += 1
                         left = compose_ir(p1, t1)
@@ -701,23 +721,30 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                                     f"cospan {o1} -> {o} <- {o2}"
                                 )
                         for x_idx, x in enumerate(family):
-                            for u1 in funcs[x_idx, i]:
-                                lead = compose_ir(u1, t1)
-                                for u2 in funcs[x_idx, j]:
-                                    if lead.rows != compose_ir(u2, t2).rows:
+                            legs = None
+                            for u1, lead in zip(funcs[x_idx, i], after[x_idx, i, k]):
+                                for u2, other in zip(
+                                    funcs[x_idx, j], after[x_idx, j, k]
+                                ):
+                                    if lead[q1] != other[q2]:
                                         continue
                                     pb_unique.cases += 1
+                                    if legs is None:
+                                        legs = [
+                                            (
+                                                compose_ir(m, p1).rows,
+                                                compose_ir(m, p2).rows,
+                                                m.rows,
+                                            )
+                                            for m in enumerate_functions(x, apex)
+                                        ]
                                     mediators = [
                                         m
-                                        for m in enumerate_functions(x, apex)
-                                        if compose_ir(m, p1).rows == u1.rows
-                                        and compose_ir(m, p2).rows == u2.rows
+                                        for r1, r2, m in legs
+                                        if r1 == u1.rows and r2 == u2.rows
                                     ]
                                     expected = pair_ir(u1, u2, apex)
-                                    if pb_unique.ok and (
-                                        len(mediators) != 1
-                                        or mediators[0].rows != expected.rows
-                                    ):
+                                    if pb_unique.ok and mediators != [expected.rows]:
                                         pb_unique.ok = False
                                         pb_unique.witness = (
                                             f"cone {x} over {o1} -> {o} <- {o2}"
@@ -726,8 +753,8 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
     eq_check = CheckResult("equalizer_universal", True, 0)
     for i, o1 in enumerate(family):
         for j, o2 in enumerate(family):
-            for t1 in funcs[i, j]:
-                for t2 in funcs[i, j]:
+            for q1, t1 in enumerate(funcs[i, j]):
+                for q2, t2 in enumerate(funcs[i, j]):
                     obj, incl = equalizer_ir(t1, t2)
                     good = (
                         is_mono_ir(incl)
@@ -739,16 +766,17 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                         eq_check.witness = f"parallel pair {o1} -> {o2}"
                         continue
                     for x_idx, x in enumerate(family):
-                        for u in funcs[x_idx, i]:
-                            if compose_ir(u, t1).rows != compose_ir(u, t2).rows:
+                        legs = None
+                        for u, via in zip(funcs[x_idx, i], after[x_idx, i, j]):
+                            if via[q1] != via[q2]:
                                 continue
                             eq_check.cases += 1
-                            mediators = [
-                                m
-                                for m in enumerate_functions(x, obj)
-                                if compose_ir(m, incl).rows == u.rows
-                            ]
-                            if eq_check.ok and len(mediators) != 1:
+                            if legs is None:
+                                legs = [
+                                    compose_ir(m, incl).rows
+                                    for m in enumerate_functions(x, obj)
+                                ]
+                            if eq_check.ok and legs.count(u.rows) != 1:
                                 eq_check.ok = False
                                 eq_check.witness = (
                                     f"cone {x} into equalizer of {o1} -> {o2}"
@@ -782,19 +810,20 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
         for m in monos:
             fs = enumerate_functions(e.dom, m.dom)
             gs = enumerate_functions(e.cod, m.cod)
+            e_then = [compose_ir(e, g).rows for g in gs]
+            legs = None
             for f in fs:
                 fm = compose_ir(f, m)
-                for g in gs:
-                    if compose_ir(e, g).rows != fm.rows:
+                for g, eg in zip(gs, e_then):
+                    if eg != fm.rows:
                         continue
                     ortho.cases += 1
-                    diagonals = [
-                        h
-                        for h in enumerate_functions(e.cod, m.dom)
-                        if compose_ir(e, h).rows == f.rows
-                        and compose_ir(h, m).rows == g.rows
-                    ]
-                    if ortho.ok and len(diagonals) != 1:
+                    if legs is None:
+                        legs = [
+                            (compose_ir(e, h).rows, compose_ir(h, m).rows)
+                            for h in enumerate_functions(e.cod, m.dom)
+                        ]
+                    if ortho.ok and legs.count((f.rows, g.rows)) != 1:
                         ortho.ok = False
                         ortho.witness = (
                             f"square over epi {e.dom} ->> {e.cod}, "
@@ -806,15 +835,27 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
 def check_regular_axioms(
     model: ModelInstance, bounds: AxiomBounds | None = None
 ) -> AxiomReport:
-    """Run every bounded law check against one model and collect a report."""
+    """Run every bounded law check against one model and collect a report.
+
+    Each check's ``seconds`` is the wall time of the sweep that computed it;
+    checks computed in one sweep share that sweep's time.
+    """
     bounds = bounds or AxiomBounds()
     report = AxiomReport(bounds)
     objs = _objects_for(model, bounds.max_arity, bounds.max_tuple_space)
-    report.checks.extend(_object_law_checks(objs))
-    report.checks.extend(_terminal_checks(objs, bounds.max_tuple_space))
-    report.checks.extend(_hom_sweep_checks(objs, bounds))
-    report.checks.append(_assoc_check(model, bounds))
-    report.checks.extend(_limit_checks(model, bounds))
+    for sweep, args in (
+        (_object_law_checks, (objs,)),
+        (_terminal_checks, (objs, bounds.max_tuple_space)),
+        (_hom_sweep_checks, (objs, bounds)),
+        (_assoc_check, (model, bounds)),
+        (_limit_checks, (model, bounds)),
+    ):
+        started = time.perf_counter()
+        checks = sweep(*args)
+        seconds = time.perf_counter() - started
+        for check in checks:
+            check.seconds = seconds
+        report.checks.extend(checks)
     return report
 
 

@@ -235,6 +235,30 @@ def _criterion_model():
     )
 
 
+# Cases per check at the default bounds on the criterion-7 model, 119,853 in
+# all; the benchmark pins the same table.
+LAW_CASES = {
+    "frobenius_special_per_object": 720,
+    "adjoint_monoid_inequalities": 480,
+    "terminal_map_unique": 120,
+    "subobject_lattice_size": 120,
+    "validity_equals_frame_condition": 5904,
+    "function_characterizations_agree": 5904,
+    "order_on_functions_discrete": 3544,
+    "entailments_sharpen_to_equalities": 5904,
+    "transpose_involutive": 5904,
+    "composition_unital": 5904,
+    "left_adjoints_are_the_functions": 1021,
+    "composition_associative": 65536,
+    "pullback_square_commutes": 1080,
+    "pullback_mediator_unique": 15390,
+    "regular_epi_pullback_stable": 432,
+    "equalizer_universal": 1602,
+    "image_factorization": 72,
+    "regular_epi_mono_orthogonal": 216,
+}
+
+
 def test_criterion_7_internal_relations_axioms(acceptance):
     def body():
         model = _criterion_model()
@@ -242,6 +266,7 @@ def test_criterion_7_internal_relations_axioms(acceptance):
         assert report.ok
         assert len(report.checks) == 18
         assert all(c.cases > 0 for c in report.checks)
+        assert {c.name: c.cases for c in report.checks} == LAW_CASES
 
         def full(ports):
             c = mk_context(ports)

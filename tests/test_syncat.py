@@ -4,7 +4,8 @@ Highlights: the function characterisation is triangulated three ways (row
 shape, adjointness of the transpose, explicit search over adjoint
 candidates); composition fails to preserve meets on a pinned two-element
 counterexample; the bounded axiom suite passes on healthy inputs and, under
-deliberate sabotage of ``mu_ir`` or ``pullback_ir``, fails with a witness.
+deliberate sabotage of ``mu_ir``, ``pullback_ir``, ``equalizer_ir`` or
+``image_ir``, fails with a witness.
 """
 
 from __future__ import annotations
@@ -332,7 +333,14 @@ class TestAxiomSuite:
         assert {c["name"] for c in payload["checks"]} == {
             c.name for c in report.checks
         }
+        assert [c["seconds"] for c in payload["checks"]] == [
+            c.seconds for c in report.checks
+        ]
+        assert all(c.seconds >= 0.0 for c in report.checks)
+        # the seven checks of the hom sweep are computed together
+        assert len({c.seconds for c in report.checks[4:11]}) == 1
         assert "ok" in report.summary()
+        assert "seconds" not in report.summary()
 
     def test_summary_lists_every_check(self):
         report = check_regular_axioms(pair_model(), self.SMALL)
@@ -363,6 +371,34 @@ class TestAxiomSuite:
         failing = {c.name for c in report.checks if not c.ok}
         assert "pullback_mediator_unique" in failing
         bad = next(c for c in report.checks if c.name == "pullback_mediator_unique")
+        assert bad.witness
+
+    def test_broken_equalizer_is_reported_with_witness(self, monkeypatch):
+        def borked(t1, t2):
+            # keep the honest equalizer object but let its inclusion drop its rows
+            obj, _ = equalizer_ir(t1, t2)
+            return obj, mk_internal_relation(obj, t1.dom, [])
+
+        monkeypatch.setattr(syncat, "equalizer_ir", borked)
+        report = check_regular_axioms(pair_model(), self.SMALL)
+        assert not report.ok
+        failing = {c.name for c in report.checks if not c.ok}
+        assert "equalizer_universal" in failing
+        bad = next(c for c in report.checks if c.name == "equalizer_universal")
+        assert bad.witness
+
+    def test_broken_image_is_reported_with_witness(self, monkeypatch):
+        def borked(rel):
+            # keep the honest epi but let the mono drop its rows
+            epi, mono = image_ir(rel)
+            return epi, mk_internal_relation(mono.dom, mono.cod, [])
+
+        monkeypatch.setattr(syncat, "image_ir", borked)
+        report = check_regular_axioms(pair_model(), self.SMALL)
+        assert not report.ok
+        failing = {c.name for c in report.checks if not c.ok}
+        assert "image_factorization" in failing
+        bad = next(c for c in report.checks if c.name == "image_factorization")
         assert bad.witness
 
 
