@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .context import Context
 from .errors import ValidationError
-from .model import ModelInstance, eval_term, mk_model, mk_relation
+from .model import FinRelation, ModelInstance, eval_term
 from .term import GraphicalTerm, drop_cell, flatten
 
 
@@ -42,7 +42,8 @@ def canonical_instance(
 
     ``predicate_contexts`` may declare extra predicates (they get empty
     relations), so the instance can be evaluated against terms mentioning
-    predicates that ``term`` does not.
+    predicates that ``term`` does not.  Each predicate must have one shell
+    across ``term`` and ``predicate_contexts``.
     """
     if not term.is_flat():
         raise ValidationError("canonical_instance expects a flat term")
@@ -56,13 +57,14 @@ def canonical_instance(
     contexts: dict[str, Context] = dict(predicate_contexts or {})
     rows: dict[str, set[tuple[str, ...]]] = {name: set() for name in contexts}
     for cell, shell, row in zip(term.cells, d.inner, d.wires):
-        contexts[cell] = shell
+        if contexts.setdefault(cell, shell) != shell:
+            raise ValidationError(f"predicate {cell} used at two different shells")
         rows.setdefault(cell, set()).add(tuple(_dot_atom(i) for i in row))
     relations = {
-        name: mk_relation(contexts[name], rows.get(name, set()))
+        name: FinRelation(contexts[name], frozenset(rows.get(name, ())))
         for name in contexts
     }
-    model = mk_model({t: tuple(atoms) for t, atoms in domains.items()}, relations)
+    model = ModelInstance({t: tuple(atoms) for t, atoms in domains.items()}, relations)
     frozen = tuple(_dot_atom(i) for i in d.wires[-1])
     return CanonicalInstance(model, frozen)
 
@@ -72,13 +74,11 @@ def contains(left: GraphicalTerm, right: GraphicalTerm) -> bool:
     left, right = flatten(left), flatten(right)
     if left.outer != right.outer:
         raise ValidationError("containment needs terms over the same outer shell")
+    # canonical_instance checks the left term's shells against these.
     shells: dict[str, Context] = {}
-    for t in (left, right):
-        for cell, shell in zip(t.cells, t.diagram.inner):
-            if shells.setdefault(cell, shell) != shell:
-                raise ValidationError(
-                    f"predicate {cell} used at two different shells"
-                )
+    for cell, shell in zip(right.cells, right.diagram.inner):
+        if shells.setdefault(cell, shell) != shell:
+            raise ValidationError(f"predicate {cell} used at two different shells")
     canonical = canonical_instance(left, shells)
     return canonical.frozen in eval_term(right, canonical.instance).tuples
 

@@ -33,19 +33,6 @@ class Context:
     port_types: tuple[str, ...]
     support: tuple[str, ...]
 
-    def __post_init__(self):
-        if any(not t for t in self.port_types):
-            raise ValidationError("type symbols must be nonempty strings")
-        if self.support != _canon_support(self.support):
-            raise ValidationError(
-                f"support must be sorted and deduplicated, got {self.support!r}"
-            )
-        missing = set(self.port_types) - set(self.support)
-        if missing:
-            raise ValidationError(
-                f"port types {sorted(missing)} are missing from the support"
-            )
-
     @property
     def arity(self) -> int:
         return len(self.port_types)
@@ -75,7 +62,9 @@ def mk_context(
 ) -> Context:
     """Build a context from a port typing and optional extra support symbols.
 
-    When ``types`` is given, every symbol must be drawn from it.
+    When ``types`` is given, every symbol must be drawn from it.  The
+    support is built sorted and covering the ports, so only the port types
+    themselves need checking.
     """
     port_types = tuple(port_types)
     extra_support = tuple(extra_support)
@@ -84,6 +73,8 @@ def mk_context(
         unknown = [s for s in (*port_types, *extra_support) if s not in known]
         if unknown:
             raise ValidationError(f"unknown type symbols: {sorted(set(unknown))}")
+    if any(not t for t in port_types):
+        raise ValidationError("type symbols must be nonempty strings")
     return Context(port_types, _canon_support((*port_types, *extra_support)))
 
 
@@ -123,28 +114,27 @@ class ContextMorphism:
     cod: Context
     port_map: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.port_map) != self.cod.arity:
-            raise ValidationError(
-                f"port map has {len(self.port_map)} entries for a codomain of "
-                f"arity {self.cod.arity}"
-            )
-        for j, i in enumerate(self.port_map):
-            if not 0 <= i < self.dom.arity:
-                raise ValidationError(f"port map entry {i} out of range at {j}")
-            if self.dom.port_types[i] != self.cod.port_types[j]:
-                raise ValidationError(
-                    f"type mismatch at codomain port {j}: "
-                    f"{self.cod.port_types[j]} vs {self.dom.port_types[i]}"
-                )
-        if not self.cod.support_set <= self.dom.support_set:
-            raise ValidationError(
-                "codomain support must be contained in domain support"
-            )
-
 
 def mk_morphism(dom: Context, cod: Context, port_map: Iterable[int]) -> ContextMorphism:
-    return ContextMorphism(dom, cod, tuple(port_map))
+    """Validating constructor: the port map must be typed and in range, and
+    the codomain support must lie inside the domain support."""
+    port_map = tuple(port_map)
+    if len(port_map) != cod.arity:
+        raise ValidationError(
+            f"port map has {len(port_map)} entries for a codomain of "
+            f"arity {cod.arity}"
+        )
+    for j, i in enumerate(port_map):
+        if not 0 <= i < dom.arity:
+            raise ValidationError(f"port map entry {i} out of range at {j}")
+        if dom.port_types[i] != cod.port_types[j]:
+            raise ValidationError(
+                f"type mismatch at codomain port {j}: "
+                f"{cod.port_types[j]} vs {dom.port_types[i]}"
+            )
+    if not cod.support_set <= dom.support_set:
+        raise ValidationError("codomain support must be contained in domain support")
+    return ContextMorphism(dom, cod, port_map)
 
 
 def identity_cm(c: Context) -> ContextMorphism:

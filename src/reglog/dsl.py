@@ -36,12 +36,15 @@ import csv
 import os
 import re
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .context import Context, mk_context
 from .errors import DslError, ReglogError
 from .model import ModelInstance, mk_model
 from .term import GraphicalTerm, PredicateSignature, bare_term, mk_term, true_term
 from .wiring import WiringDiagram, mk_wiring
+
+_T = TypeVar("_T")
 
 _KEYWORDS = {
     "type",
@@ -194,6 +197,18 @@ class _Parser:
             raise DslError(f"expected an atom, found {tok.value!r}", tok.line)
         return tok
 
+    def comma_list(
+        self, item: Callable[[], _T], stop: tuple[str, ...] = ()
+    ) -> list[_T]:
+        """Items separated by commas; none at all if a ``stop`` token is next."""
+        if self.peek().value in stop:
+            return []
+        items = [item()]
+        while self.peek().value == ",":
+            self.next()
+            items.append(item())
+        return items
+
     # -- shared pieces -----------------------------------------------------
 
     def type_name(self) -> str:
@@ -204,20 +219,12 @@ class _Parser:
 
     def context_literal(self) -> Context:
         open_tok = self.expect("(")
-        ports: list[str] = []
+        ports = self.comma_list(self.type_name, (")", "|"))
         extra: list[str] = []
-        if self.peek().value not in (")", "|"):
-            ports.append(self.type_name())
-            while self.peek().value == ",":
-                self.next()
-                ports.append(self.type_name())
         if self.peek().value == "|":
             self.next()
             self.expect("supp")
-            extra.append(self.type_name())
-            while self.peek().value == ",":
-                self.next()
-                extra.append(self.type_name())
+            extra = self.comma_list(self.type_name)
         self.expect(")")
         try:
             return mk_context(ports, extra)
@@ -246,10 +253,7 @@ class _Parser:
             handler()
 
     def stmt_type(self) -> None:
-        names = [self.fresh_name()]
-        while self.peek().value == ",":
-            self.next()
-            names.append(self.fresh_name())
+        names = self.comma_list(self.fresh_name)
         self.expect(";")
         for tok in names:
             if tok.value in self.ws.types:
@@ -281,12 +285,7 @@ class _Parser:
             raise DslError(f"domain of {tok.value!r} already declared", tok.line)
         self.expect("=")
         self.expect("{")
-        atoms: list[str] = []
-        if self.peek().value != "}":
-            atoms.append(self.atom().value)
-            while self.peek().value == ",":
-                self.next()
-                atoms.append(self.atom().value)
+        atoms = [tok.value for tok in self.comma_list(self.atom, ("}",))]
         self.expect("}")
         self.expect(";")
         if len(set(atoms)) != len(atoms):
@@ -327,12 +326,7 @@ class _Parser:
         rows: set[tuple[str, ...]] = set()
         while self.peek().value != "}":
             open_tok = self.expect("(")
-            atoms: list[str] = []
-            if self.peek().value != ")":
-                atoms.append(self.atom().value)
-                while self.peek().value == ",":
-                    self.next()
-                    atoms.append(self.atom().value)
+            atoms = [tok.value for tok in self.comma_list(self.atom, (")",))]
             self.expect(")")
             self.expect(";")
             rows.add(self._data_row(shell, open_tok.line, tuple(atoms)))
@@ -345,17 +339,14 @@ class _Parser:
         name = self.fresh_name()
         self.expect(":")
         self.expect("(")
-        inner: list[Context] = []
         inner_names: list[str | None] = []
-        if self.peek().value != ")":
-            while True:
-                tok = self.peek()
-                label = tok.value if tok.kind == "name" else None
-                inner.append(self.context_ref())
-                inner_names.append(label)
-                if self.peek().value != ",":
-                    break
-                self.next()
+
+        def inner_shell() -> Context:
+            tok = self.peek()
+            inner_names.append(tok.value if tok.kind == "name" else None)
+            return self.context_ref()
+
+        inner = self.comma_list(inner_shell, (")",))
         self.expect(")")
         self.expect("->")
         outer = self.context_ref()
@@ -433,11 +424,7 @@ class _Parser:
                     raise DslError("supp given twice", tok.line)
                 saw_supp = True
                 self.expect("{")
-                if self.peek().value != "}":
-                    extra.append(self.type_name())
-                    while self.peek().value == ",":
-                        self.next()
-                        extra.append(self.type_name())
+                extra = self.comma_list(self.type_name, ("}",))
                 self.expect("}")
                 self.expect(";")
             else:
@@ -473,12 +460,7 @@ class _Parser:
             expr = ("true", ctx)
         elif head.value in self.ws.diagrams:
             self.expect("(")
-            args: list[str] = []
-            if self.peek().value != ")":
-                args.append(self.expect_name().value)
-                while self.peek().value == ",":
-                    self.next()
-                    args.append(self.expect_name().value)
+            args = [tok.value for tok in self.comma_list(self.expect_name, (")",))]
             self.expect(")")
             cells = []
             for arg in args:
@@ -583,6 +565,15 @@ def _context_out(c: Context, known: dict[Context, str]) -> str:
     return known.get(c, str(c))
 
 
+def _wire_lines(w: WiringDiagram) -> list[str]:
+    shells = [f"in{i + 1}" for i in range(len(w.inner))] + ["out"]
+    return [
+        f"  wire {shells[s]}.{p + 1} -> d{dot + 1};"
+        for s, row in enumerate(w.wires)
+        for p, dot in enumerate(row)
+    ]
+
+
 def _diagram_out(
     name: str, w: WiringDiagram, known: dict[Context, str]
 ) -> list[str]:
@@ -590,10 +581,7 @@ def _diagram_out(
     lines = [f"diagram {name} : ({inner}) -> {_context_out(w.outer, known)} {{"]
     for i, t in enumerate(w.dot_types):
         lines.append(f"  dot d{i + 1} : {t};")
-    shells = [f"in{i + 1}" for i in range(len(w.inner))] + ["out"]
-    for s, row in enumerate(w.wires):
-        for p, dot in enumerate(row):
-            lines.append(f"  wire {shells[s]}.{p + 1} -> d{dot + 1};")
+    lines += _wire_lines(w)
     used = set(w.dot_types)
     for c in (*w.inner, w.outer):
         used.update(c.support)
@@ -651,10 +639,7 @@ def wiring_to_text(w: WiringDiagram) -> str:
     lines.append(f"  inner: [{inner}];")
     lines.append(f"  outer: {w.outer};")
     lines.append(f"  dots: [{', '.join(w.dot_types)}];")
-    shells = [f"in{i + 1}" for i in range(len(w.inner))] + ["out"]
-    for s, row in enumerate(w.wires):
-        for p, dot in enumerate(row):
-            lines.append(f"  wire {shells[s]}.{p + 1} -> d{dot + 1};")
+    lines += _wire_lines(w)
     lines.append(f"  supp {{{', '.join(w.support)}}};")
     lines.append("}")
     return "\n".join(lines)

@@ -34,13 +34,6 @@ class FinRelation:
     context: Context
     tuples: frozenset[tuple[str, ...]]
 
-    def __post_init__(self):
-        for row in self.tuples:
-            if len(row) != self.context.arity:
-                raise ValidationError(
-                    f"tuple {row} does not match arity {self.context.arity}"
-                )
-
     def rows(self) -> list[tuple[str, ...]]:
         """The tuples in sorted order, for deterministic output."""
         return sorted(self.tuples)
@@ -49,10 +42,20 @@ class FinRelation:
         return len(self.tuples)
 
 
+def _check_arity(rel: FinRelation) -> FinRelation:
+    for row in rel.tuples:
+        if len(row) != rel.context.arity:
+            raise ValidationError(
+                f"tuple {row} does not match arity {rel.context.arity}"
+            )
+    return rel
+
+
 def mk_relation(
     context: Context, tuples: Iterable[tuple[str, ...]]
 ) -> FinRelation:
-    return FinRelation(context, frozenset(tuple(row) for row in tuples))
+    """Validating constructor: every tuple must match the context's arity."""
+    return _check_arity(FinRelation(context, frozenset(tuple(row) for row in tuples)))
 
 
 def empty_relation(context: Context) -> FinRelation:
@@ -70,23 +73,6 @@ class ModelInstance:
     domains: Mapping[str, tuple[str, ...]]
     relations: Mapping[str, FinRelation]
 
-    def __post_init__(self):
-        for name, rel in self.relations.items():
-            for row in rel.tuples:
-                for atom, t in zip(row, rel.context.port_types):
-                    if atom not in self.domain(t):
-                        raise ValidationError(
-                            f"relation {name} holds atom {atom!r} outside the "
-                            f"domain of {t}"
-                        )
-            if rel.tuples and any(
-                not self.domain(s) for s in rel.context.support
-            ):
-                raise ValidationError(
-                    f"relation {name} must be empty: its context supports a "
-                    f"type with an empty domain"
-                )
-
     def domain(self, t: str) -> tuple[str, ...]:
         return self.domains.get(t, ())
 
@@ -101,18 +87,33 @@ def mk_model(
     shells: Mapping[str, Context | FinRelation],
     rows: Mapping[str, Iterable[tuple[str, ...]]] | None = None,
 ) -> ModelInstance:
-    """Build a model from domains plus either finished relations or
-    predicate shells with (possibly missing) row sets."""
+    """Validating constructor from domains plus either finished relations
+    (passed through as they are) or predicate shells with (possibly missing)
+    row sets.  Every row must match its arity and draw its atoms from the
+    domains, and a relation whose context supports a type with an empty
+    domain must be empty."""
     rows = rows or {}
     relations = {}
     for name, shell in shells.items():
         if isinstance(shell, FinRelation):
-            relations[name] = shell
+            relations[name] = _check_arity(shell)
         else:
             relations[name] = mk_relation(shell, rows.get(name, ()))
-    return ModelInstance(
-        {t: tuple(atoms) for t, atoms in domains.items()}, relations
-    )
+    model = ModelInstance({t: tuple(atoms) for t, atoms in domains.items()}, relations)
+    for name, rel in relations.items():
+        for row in rel.tuples:
+            for atom, t in zip(row, rel.context.port_types):
+                if atom not in model.domain(t):
+                    raise ValidationError(
+                        f"relation {name} holds atom {atom!r} outside the "
+                        f"domain of {t}"
+                    )
+        if rel.tuples and any(not model.domain(s) for s in rel.context.support):
+            raise ValidationError(
+                f"relation {name} must be empty: its context supports a "
+                f"type with an empty domain"
+            )
+    return model
 
 
 def true_rel(context: Context, model: ModelInstance) -> FinRelation:

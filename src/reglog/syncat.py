@@ -35,29 +35,29 @@ class SynObject:
     context: Context
     predicate: FinRelation
 
-    def __post_init__(self):
-        if self.predicate.context != self.context:
-            raise ValidationError("predicate lives on a different context")
-
     def __str__(self):
         return f"({self.context}, {len(self.predicate)} rows)"
 
 
 def mk_syn_object(context: Context, rows: Iterable[tuple[str, ...]]) -> SynObject:
+    """Validating constructor: the predicate is built on ``context`` itself,
+    and :func:`mk_relation` checks the arity of every row."""
     return SynObject(context, mk_relation(context, rows))
 
 
+def _syn_object(context: Context, rows: Iterable[tuple[str, ...]]) -> SynObject:
+    return SynObject(context, FinRelation(context, frozenset(rows)))
+
+
 def terminal_syn() -> SynObject:
-    c = terminal_ctx()
-    return SynObject(c, mk_relation(c, [()]))
+    return _syn_object(terminal_ctx(), [()])
 
 
 def oplus_obj(left: SynObject, right: SynObject) -> SynObject:
-    ctx = oplus(left.context, right.context)
-    rows = frozenset(
-        a + b for a in left.predicate.tuples for b in right.predicate.tuples
+    return _syn_object(
+        oplus(left.context, right.context),
+        (a + b for a in left.predicate.tuples for b in right.predicate.tuples),
     )
-    return SynObject(ctx, FinRelation(ctx, rows))
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def pullback_ir(
     for x1, y in t1.split_rows():
         for x2 in by_y.get(y, ()):
             rows.add(x1 + x2)
-    apex = mk_syn_object(oplus(t1.dom.context, t2.dom.context), rows)
+    apex = _syn_object(oplus(t1.dom.context, t2.dom.context), rows)
     n1 = t1.dom.context.arity
     p1 = InternalRelation(apex, t1.dom, frozenset(row + row[:n1] for row in rows))
     p2 = InternalRelation(apex, t2.dom, frozenset(row + row[n1:] for row in rows))
@@ -294,7 +294,7 @@ def equalizer_ir(
         raise ValidationError("equalizer is taken over internal functions")
     n1 = t1.dom.context.arity
     agree = frozenset(row[:n1] for row in t1.rows & t2.rows)
-    obj = mk_syn_object(t1.dom.context, agree)
+    obj = _syn_object(t1.dom.context, agree)
     incl = InternalRelation(obj, t1.dom, frozenset(x + x for x in agree))
     return obj, incl
 
@@ -304,7 +304,7 @@ def image_ir(
 ) -> tuple[InternalRelation, InternalRelation]:
     """Factor through the right marginal: regular epi followed by mono."""
     im = rel.right_marginal()
-    image = mk_syn_object(rel.cod.context, im)
+    image = _syn_object(rel.cod.context, im)
     epi = InternalRelation(rel.dom, image, rel.rows)
     mono = InternalRelation(image, rel.cod, frozenset(y + y for y in im))
     return epi, mono
@@ -324,7 +324,7 @@ def subobjects(o: SynObject) -> list[SynObject]:
     out = []
     for k in range(len(rows) + 1):
         for subset in itertools.combinations(rows, k):
-            out.append(mk_syn_object(o.context, subset))
+            out.append(_syn_object(o.context, subset))
     return out
 
 
@@ -424,14 +424,14 @@ def _predicates_for(
         subsets: list[tuple] = []
         for k in range(len(rows) + 1):
             subsets.extend(itertools.combinations(rows, k))
-        return [mk_relation(context, s) for s in subsets]
+        return [FinRelation(context, frozenset(s)) for s in subsets]
     sample = [
         (),
         tuple(rows),
         (rows[0],),
         tuple(rows[: len(rows) // 2]),
     ]
-    return [mk_relation(context, s) for s in sample]
+    return [FinRelation(context, frozenset(s)) for s in sample]
 
 
 def _objects_for(
@@ -471,10 +471,10 @@ def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[SynObject]:
         full = true_rel(c, model)
         rows = full.rows()[:2]
         for k in range(len(rows), 0, -1):
-            if push(SynObject(c, mk_relation(c, rows[:k]))):
+            if push(_syn_object(c, rows[:k])):
                 return family
     for c in contexts:
-        if push(SynObject(c, mk_relation(c, ()))):
+        if push(_syn_object(c, ())):
             return family
     return family
 
@@ -651,7 +651,7 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]
             rows = full.rows()
             while len(rows) * len(rows) > bounds.max_tuple_space:
                 rows = rows[:-1]
-            chain_objs.append(SynObject(c, mk_relation(c, rows)))
+            chain_objs.append(_syn_object(c, rows))
     chain_objs = chain_objs[:2] or [terminal_syn()]
     for o1, o2, o3, o4 in itertools.product(chain_objs, repeat=4):
         as_ = enumerate_relations(o1, o2)

@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .wiring import (
     WiringDiagram,
     identity_wd,
-    mk_wiring,
+    normalize,
     permute_outer_blocks,
     substitute,
 )
@@ -49,18 +49,6 @@ class GraphicalTerm:
     diagram: WiringDiagram
     cells: tuple[Cell, ...]
 
-    def __post_init__(self):
-        if len(self.cells) != self.diagram.num_slots:
-            raise ValidationError(
-                f"{self.diagram.num_slots} inner shells but {len(self.cells)} cells"
-            )
-        for shell, cell in zip(self.diagram.inner, self.cells):
-            if isinstance(cell, GraphicalTerm) and cell.diagram.outer != shell:
-                raise ValidationError(
-                    f"nested term with outer shell {cell.diagram.outer} placed "
-                    f"in a slot of shape {shell}"
-                )
-
     @property
     def outer(self) -> Context:
         return self.diagram.outer
@@ -83,16 +71,28 @@ def mk_term(
     cells: tuple[Cell, ...] | list[Cell],
     signature: PredicateSignature | None = None,
 ) -> GraphicalTerm:
-    """Build a term, checking predicate cells against ``signature`` if given."""
-    term = GraphicalTerm(diagram, tuple(cells))
+    """Validating constructor: one cell per inner shell, each nested term's
+    outer shell equal to its slot, and, if ``signature`` is given, each
+    predicate cell declared on its slot."""
+    cells = tuple(cells)
+    if len(cells) != diagram.num_slots:
+        raise ValidationError(
+            f"{diagram.num_slots} inner shells but {len(cells)} cells"
+        )
+    for shell, cell in zip(diagram.inner, cells):
+        if isinstance(cell, GraphicalTerm) and cell.diagram.outer != shell:
+            raise ValidationError(
+                f"nested term with outer shell {cell.diagram.outer} placed "
+                f"in a slot of shape {shell}"
+            )
     if signature is not None:
-        for shell, cell in zip(diagram.inner, term.cells):
+        for shell, cell in zip(diagram.inner, cells):
             if isinstance(cell, str) and signature.shell(cell) != shell:
                 raise ValidationError(
                     f"predicate {cell} is declared on {signature.shell(cell)} "
                     f"but placed in a slot of shape {shell}"
                 )
-    return term
+    return GraphicalTerm(diagram, cells)
 
 
 def bare_term(name: str, signature: PredicateSignature) -> GraphicalTerm:
@@ -120,7 +120,8 @@ def flatten(term: GraphicalTerm) -> GraphicalTerm:
 def true_term(c: Context) -> GraphicalTerm:
     """The top element on ``c``: no cells, each outer port its own dot."""
     ports = tuple(range(c.arity))
-    return GraphicalTerm(mk_wiring((), c, c.port_types, (ports,)), ())
+    diagram = normalize(WiringDiagram((), c, c.port_types, (), (ports,)))
+    return GraphicalTerm(diagram, ())
 
 
 def meet_term(left: GraphicalTerm, right: GraphicalTerm) -> GraphicalTerm:
@@ -129,7 +130,9 @@ def meet_term(left: GraphicalTerm, right: GraphicalTerm) -> GraphicalTerm:
         raise ValidationError("meet needs terms over the same outer shell")
     c = left.outer
     ports = tuple(range(c.arity))
-    diagram = mk_wiring((c, c), c, c.port_types, (ports, ports, ports))
+    diagram = normalize(
+        WiringDiagram((c, c), c, c.port_types, (), (ports, ports, ports))
+    )
     return GraphicalTerm(diagram, (left, right))
 
 
@@ -183,11 +186,13 @@ def drop_cell(term: GraphicalTerm, slot: int) -> GraphicalTerm:
     if not 0 <= slot < len(term.cells):
         raise ValidationError(f"no cell {slot}")
     d = term.diagram
-    diagram = mk_wiring(
-        d.inner[:slot] + d.inner[slot + 1 :],
-        d.outer,
-        d.dot_types,
-        d.wires[:slot] + d.wires[slot + 1 :],
-        extra_support=d.support,
+    diagram = normalize(
+        WiringDiagram(
+            d.inner[:slot] + d.inner[slot + 1 :],
+            d.outer,
+            d.dot_types,
+            d.support,
+            d.wires[:slot] + d.wires[slot + 1 :],
+        )
     )
     return GraphicalTerm(diagram, term.cells[:slot] + term.cells[slot + 1 :])

@@ -42,40 +42,6 @@ class WiringDiagram:
     support: tuple[str, ...]
     wires: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        shells = (*self.inner, self.outer)
-        if len(self.wires) != len(shells):
-            raise ValidationError(
-                f"expected {len(shells)} wire rows, got {len(self.wires)}"
-            )
-        seen: set[int] = set()
-        for shell, row in zip(shells, self.wires):
-            if len(row) != shell.arity:
-                raise ValidationError(
-                    f"shell {shell} has arity {shell.arity} but {len(row)} wires"
-                )
-            for p, d in enumerate(row):
-                if not 0 <= d < len(self.dot_types):
-                    raise ValidationError(f"wire to unknown dot {d}")
-                if self.dot_types[d] != shell.port_types[p]:
-                    raise ValidationError(
-                        f"port {p + 1} of shell {shell} has type "
-                        f"{shell.port_types[p]} but dot {d + 1} has type "
-                        f"{self.dot_types[d]}"
-                    )
-                seen.add(d)
-        if len(seen) != len(self.dot_types):
-            raise ValidationError("every dot must be hit by at least one port")
-        if self.support != _canon_support(self.support):
-            raise ValidationError("support must be sorted and deduplicated")
-        required = set(self.dot_types)
-        for shell in shells:
-            required |= shell.support_set
-        if not required <= set(self.support):
-            raise ValidationError(
-                "support must contain all dot types and shell supports"
-            )
-
     @property
     def num_slots(self) -> int:
         return len(self.inner)
@@ -91,8 +57,28 @@ class WiringDiagram:
 
 
 def normalize(w: WiringDiagram) -> WiringDiagram:
-    """Renumber dots by first occurrence in the port scan; idempotent."""
-    return mk_wiring(w.inner, w.outer, w.dot_types, w.wires, w.support)
+    """Renumber dots by first occurrence in the port scan and complete the
+    support to cover dots and shells; idempotent.
+
+    A dot no port touches gets no number, and its type stays only in the
+    support.  No checks: ``w`` may be any record whose wires index its dots.
+    """
+    order: dict[int, int] = {}
+    for row in w.wires:
+        for d in row:
+            order.setdefault(d, len(order))
+    support = _canon_support(
+        w.dot_types
+        + w.support
+        + tuple(s for shell in (*w.inner, w.outer) for s in shell.support)
+    )
+    return WiringDiagram(
+        w.inner,
+        w.outer,
+        tuple(w.dot_types[d] for d in order),
+        support,
+        tuple(tuple(order[d] for d in row) for row in w.wires),
+    )
 
 
 def mk_wiring(
@@ -102,9 +88,9 @@ def mk_wiring(
     wires: Iterable[Iterable[int]],
     extra_support: Iterable[str] = (),
 ) -> WiringDiagram:
-    """Validating constructor.  Dots hit by no port are absorbed into the
-    support, the support is completed to cover dots and shells, and the result
-    is normalized.  Errors name dots by their 1-based input position."""
+    """Validating constructor: every port is wired to a known dot of its
+    type.  The result is normalized, so dots hit by no port are absorbed
+    into the support.  Errors name dots by their 1-based input position."""
     inner = tuple(inner)
     dot_types = tuple(dot_types)
     wires = tuple(tuple(row) for row in wires)
@@ -127,34 +113,19 @@ def mk_wiring(
                     f"port {p + 1} of shell {shell} has type "
                     f"{shell.port_types[p]} but dot {d + 1} has type {dot_types[d]}"
                 )
-    # Number dots by first occurrence in the port scan; a dot no port
-    # touches gets no number, and its type stays only in the support.
-    order: dict[int, int] = {}
-    for row in wires:
-        for d in row:
-            order.setdefault(d, len(order))
-    support = _canon_support(
-        dot_types
-        + tuple(extra_support)
-        + tuple(s for shell in shells for s in shell.support)
-    )
-    return WiringDiagram(
-        inner,
-        outer,
-        tuple(dot_types[d] for d in order),
-        support,
-        tuple(tuple(order[d] for d in row) for row in wires),
+    return normalize(
+        WiringDiagram(inner, outer, dot_types, tuple(extra_support), wires)
     )
 
 
 def identity_wd(c: Context) -> WiringDiagram:
     ports = tuple(range(c.arity))
-    return mk_wiring((c,), c, c.port_types, (ports, ports))
+    return normalize(WiringDiagram((c,), c, c.port_types, (), (ports, ports)))
 
 
 def empty_wd() -> WiringDiagram:
     """The tensor unit: no shells but the empty outer one, no dots."""
-    return mk_wiring((), terminal_ctx(), (), ((),))
+    return normalize(WiringDiagram((), terminal_ctx(), (), (), ((),)))
 
 
 def substitute(w: WiringDiagram, slot: int, inside: WiringDiagram) -> WiringDiagram:
@@ -194,29 +165,29 @@ def substitute(w: WiringDiagram, slot: int, inside: WiringDiagram) -> WiringDiag
             rows.append(tuple(cls(d) for d in w.wires[s]))
     rows.append(tuple(cls(d) for d in w.wires[-1]))
 
-    return mk_wiring(
-        new_inner,
-        w.outer,
-        dot_types,
-        rows,
-        extra_support=w.support + inside.support,
+    return normalize(
+        WiringDiagram(
+            new_inner, w.outer, dot_types, w.support + inside.support, tuple(rows)
+        )
     )
 
 
 def tensor(left: WiringDiagram, right: WiringDiagram) -> WiringDiagram:
     """Juxtapose two diagrams: shells concatenate, dots stay disjoint."""
     shift = left.num_dots
-    rows = [row for row in left.wires[:-1]]
-    rows += [tuple(d + shift for d in row) for row in right.wires[:-1]]
-    rows.append(
-        left.wires[-1] + tuple(d + shift for d in right.wires[-1])
+    rows = (
+        *left.wires[:-1],
+        *(tuple(d + shift for d in row) for row in right.wires[:-1]),
+        left.wires[-1] + tuple(d + shift for d in right.wires[-1]),
     )
-    return mk_wiring(
-        left.inner + right.inner,
-        oplus(left.outer, right.outer),
-        left.dot_types + right.dot_types,
-        rows,
-        extra_support=left.support + right.support,
+    return normalize(
+        WiringDiagram(
+            left.inner + right.inner,
+            oplus(left.outer, right.outer),
+            left.dot_types + right.dot_types,
+            left.support + right.support,
+            rows,
+        )
     )
 
 
@@ -227,7 +198,7 @@ def as_morphism(w: WiringDiagram) -> WiringDiagram:
         tuple(d for row in w.wires[:-1] for d in row),
         w.wires[-1],
     )
-    return mk_wiring((fused,), w.outer, w.dot_types, rows, extra_support=w.support)
+    return normalize(WiringDiagram((fused,), w.outer, w.dot_types, w.support, rows))
 
 
 def compose_wd(first: WiringDiagram, second: WiringDiagram) -> WiringDiagram:
@@ -259,40 +230,44 @@ def leq_wd(lower: WiringDiagram, upper: WiringDiagram) -> bool:
 def delta_wd(c: Context) -> WiringDiagram:
     """Copy: ``c -> c (+) c``."""
     ports = tuple(range(c.arity))
-    return mk_wiring((c,), oplus(c, c), c.port_types, (ports, ports + ports))
+    return normalize(
+        WiringDiagram((c,), oplus(c, c), c.port_types, (), (ports, ports + ports))
+    )
 
 
 def mu_wd(c: Context) -> WiringDiagram:
     """Merge: ``c (+) c -> c``."""
     ports = tuple(range(c.arity))
-    return mk_wiring((oplus(c, c),), c, c.port_types, (ports + ports, ports))
+    return normalize(
+        WiringDiagram((oplus(c, c),), c, c.port_types, (), (ports + ports, ports))
+    )
 
 
 def epsilon_wd(c: Context) -> WiringDiagram:
     """Discard: ``c -> ()``; the discarded types stay in the support."""
     ports = tuple(range(c.arity))
-    return mk_wiring((c,), terminal_ctx(), c.port_types, (ports, ()))
+    return normalize(WiringDiagram((c,), terminal_ctx(), c.port_types, (), (ports, ())))
 
 
 def eta_wd(c: Context) -> WiringDiagram:
     """Spawn: ``() -> c``; every outer port gets its own fresh dot."""
     ports = tuple(range(c.arity))
-    return mk_wiring((terminal_ctx(),), c, c.port_types, ((), ports))
+    return normalize(WiringDiagram((terminal_ctx(),), c, c.port_types, (), ((), ports)))
 
 
 def graph_wd(f: ContextMorphism) -> WiringDiagram:
     """The graph of a context morphism, as a diagram ``dom -> cod``."""
     ports = tuple(range(f.dom.arity))
-    return mk_wiring(
-        (f.dom,), f.cod, f.dom.port_types, (ports, f.port_map)
+    return normalize(
+        WiringDiagram((f.dom,), f.cod, f.dom.port_types, (), (ports, f.port_map))
     )
 
 
 def cograph_wd(f: ContextMorphism) -> WiringDiagram:
     """The cograph of a context morphism, as a diagram ``cod -> dom``."""
     ports = tuple(range(f.dom.arity))
-    return mk_wiring(
-        (f.cod,), f.dom, f.dom.port_types, (f.port_map, ports)
+    return normalize(
+        WiringDiagram((f.cod,), f.dom, f.dom.port_types, (), (f.port_map, ports))
     )
 
 
@@ -312,12 +287,10 @@ def permute_outer_blocks(
         )
     n1 = left.arity
     out = w.wires[-1][n1:] + w.wires[-1][:n1]
-    return mk_wiring(
-        w.inner,
-        oplus(right, left),
-        w.dot_types,
-        (*w.wires[:-1], out),
-        extra_support=w.support,
+    return normalize(
+        WiringDiagram(
+            w.inner, oplus(right, left), w.dot_types, w.support, (*w.wires[:-1], out)
+        )
     )
 
 
@@ -331,12 +304,10 @@ def transpose_wd(
     which are swapped.
     """
     if w.num_slots == 1 and split is None:
-        return mk_wiring(
-            (w.outer,),
-            w.inner[0],
-            w.dot_types,
-            (w.wires[1], w.wires[0]),
-            extra_support=w.support,
+        return normalize(
+            WiringDiagram(
+                (w.outer,), w.inner[0], w.dot_types, w.support, (w.wires[1], w.wires[0])
+            )
         )
     if w.num_slots == 0:
         if split is None:

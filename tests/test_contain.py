@@ -24,7 +24,7 @@ from reglog.contain import (
 )
 from reglog.context import mk_context
 from reglog.errors import ValidationError
-from reglog.model import entails_in, eval_term
+from reglog.model import entails_in, eval_term, mk_model
 from reglog.term import (
     GraphicalTerm,
     bare_term,
@@ -59,6 +59,14 @@ def two_step() -> GraphicalTerm:
     return GraphicalTerm(w, ("R", "S"))
 
 
+def u_at_two_shells() -> GraphicalTerm:
+    """U(v1) ∧ U(v1, v1): one predicate filling slots of two shells."""
+    w = mk_wiring(
+        (SHELLS["U"], SHELLS["R"]), mk_context(()), ("x",), ((0,), (0, 0), ())
+    )
+    return GraphicalTerm(w, ("U", "U"))
+
+
 class TestCanonicalInstance:
     def test_structure_of_the_frozen_instance(self):
         ci = canonical_instance(two_step())
@@ -85,9 +93,23 @@ class TestCanonicalInstance:
         ci = canonical_instance(GraphicalTerm(w, ("U", "U")))
         assert ci.instance.relation("U").rows() == [("d1",), ("d2",)]
 
+    def test_one_shell_per_predicate(self):
+        with pytest.raises(ValidationError):
+            canonical_instance(u_at_two_shells())
+        with pytest.raises(ValidationError):
+            canonical_instance(two_step(), {"R": SHELLS["S"]})
+
     def test_extra_predicates_become_empty(self):
         ci = canonical_instance(two_step(), {"Q": SHELLS["Q"]})
         assert ci.instance.relation("Q").rows() == []
+
+    def test_instance_is_valid_by_construction(self):
+        # canonical_instance builds its relations and model without the
+        # checks of mk_model; every instance must still pass them.
+        rng = Random(504)
+        for _ in range(150):
+            m = canonical_instance(flatten(rand_term(rng)), SHELLS).instance
+            assert mk_model(m.domains, m.relations) == m
 
     def test_frozen_instance_satisfies_its_own_term(self):
         rng = Random(501)
@@ -218,6 +240,10 @@ class TestContains:
         )
         with pytest.raises(ValidationError):
             contains(misdeclared, bare_term("R", SIGNATURE))
+        with pytest.raises(ValidationError):
+            contains(bare_term("R", SIGNATURE), misdeclared)
+        with pytest.raises(ValidationError):
+            contains(true_term(mk_context(())), u_at_two_shells())
 
 
 class TestEquivalence:

@@ -90,6 +90,40 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             mk_morphism(a, b, (1,))
 
+    def test_port_types_must_be_nonempty(self):
+        with pytest.raises(ValidationError):
+            mk_context(("",))
+
+    def test_results_are_valid_by_construction(self):
+        # These operations construct contexts and morphisms without the checks
+        # of mk_context and mk_morphism; every result must still pass them.
+        rng = Random(107)
+        morphisms = []
+        for _ in range(300):
+            f = rand_morphism_pair(rng, max_arity=3)
+            g = rand_morphism_from(rng, f.cod, max_arity=3)
+            c = rand_context(rng, ("x", "y", "z"))
+            epi, mono = image_factor_cm(f)
+            morphisms += [
+                identity_cm(f.dom),
+                compose_cm(f, g),
+                epi,
+                mono,
+                diagonal_cm(c),
+                proj1_cm(f.dom, c),
+                proj2_cm(f.dom, c),
+                terminal_cm(c),
+                braid_cm(f.dom, c),
+            ]
+            legs = list(enumerate_morphisms(rand_context(rng, max_arity=3), f.cod))
+            morphisms += legs
+            for h in legs[:2]:
+                morphisms += pullback_cm(f, h)[1:]
+        for m in morphisms:
+            assert mk_morphism(m.dom, m.cod, m.port_map) == m
+            for c in (m.dom, m.cod):
+                assert mk_context(c.port_types, c.support) == c
+
 
 class TestCategoryLaws:
     def test_identity_laws_random(self):

@@ -472,3 +472,15 @@ class TestCli:
         assert proc.stdout == (
             corpus / "expected" / "three_box_wiring.eval.txt"
         ).read_bytes()
+
+    def test_corpus_oracle_finds_no_stale_expectation(self):
+        # The script re-derives every committed eval expectation with the
+        # naive evaluator, so this runs the oracle route over the corpus.
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "regen_expected.py"), "--check"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == "41 expectations checked, 0 stale\n"

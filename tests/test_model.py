@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 from reglog.context import identity_cm, mk_context, mk_morphism, oplus, pullback_cm
 from reglog.errors import EvalError, ValidationError
 from reglog.model import (
+    FinRelation,
     ModelInstance,
     empty_relation,
     entails_in,
@@ -39,10 +40,13 @@ from reglog.wiring import mk_wiring, tensor
 from helpers import (
     SHELLS,
     SIGNATURE,
+    TYPES,
     eval_formula,
     galois_law_sweep,
+    rand_context,
     rand_flat_term,
     rand_model,
+    rand_morphism_pair,
     semantics_law_sweep,
 )
 
@@ -89,6 +93,35 @@ class TestModelConstruction:
         rel = mk_relation(mk_context(("x",)), (("a",),))
         m = mk_model({"x": ("a",)}, {"U": rel})
         assert m.relation("U") is rel
+
+    def test_finished_relations_are_arity_checked(self):
+        # A relation built directly skips mk_relation; mk_model checks it.
+        rel = FinRelation(mk_context(("x",)), frozenset({("a", "a")}))
+        with pytest.raises(ValidationError):
+            mk_model({"x": ("a",)}, {"U": rel})
+
+    def test_results_are_valid_by_construction(self):
+        # The operations build relations without the arity check of
+        # mk_relation; every result must still pass it.
+        rng = Random(405)
+        results = []
+        for _ in range(150):
+            m = rand_model(rng)
+            t = rand_flat_term(rng)
+            f = rand_morphism_pair(rng, types=TYPES, max_arity=3)
+            left, right = rand_context(rng), rand_context(rng)
+            rel = true_rel(oplus(left, right), m)
+            image = pushforward(f, true_rel(f.dom, m))
+            results += [
+                eval_term(t, m),
+                true_rel(left, m),
+                image,
+                pullback_pred(f, image, m),
+                rho_lax(eval_term(t, m), rel),
+                *lambda_opl(rel, left, right),
+            ]
+        for r in results:
+            assert mk_relation(r.context, r.tuples) == r
 
 
 class TestEvaluation:

@@ -169,6 +169,8 @@ class TestCategoryStructure:
             ]
         for r in results:
             assert mk_internal_relation(r.dom, r.cod, r.rows) == r
+            for o in (r.dom, r.cod):
+                assert mk_syn_object(o.context, o.predicate.tuples) == o
 
     def test_composition_needs_matching_middle(self):
         with pytest.raises(CompositionError):

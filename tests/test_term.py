@@ -28,7 +28,7 @@ from reglog.term import (
 )
 from reglog.wiring import identity_wd, mk_wiring, substitute
 
-from helpers import SHELLS, SIGNATURE, rand_term
+from helpers import SHELLS, SIGNATURE, rand_context, rand_term
 
 
 class TestSignature:
@@ -48,17 +48,17 @@ class TestConstruction:
     def test_cell_count_must_match_slots(self):
         w = identity_wd(SHELLS["R"])
         with pytest.raises(ValidationError):
-            GraphicalTerm(w, ())
+            mk_term(w, ())
         with pytest.raises(ValidationError):
-            GraphicalTerm(w, ("R", "R"))
+            mk_term(w, ("R", "R"))
 
     def test_nested_cell_must_fit_its_slot(self):
         w = identity_wd(SHELLS["R"])
         wrong = bare_term("S", SIGNATURE)  # outer (x, y), slot wants (x, x)
         with pytest.raises(ValidationError):
-            GraphicalTerm(w, (wrong,))
+            mk_term(w, (wrong,))
         fits = bare_term("R", SIGNATURE)
-        assert GraphicalTerm(w, (fits,)).cells == (fits,)
+        assert mk_term(w, (fits,)).cells == (fits,)
 
     def test_mk_term_checks_predicate_shells(self):
         w = identity_wd(SHELLS["R"])
@@ -66,6 +66,29 @@ class TestConstruction:
             mk_term(w, ("S",), SIGNATURE)
         assert mk_term(w, ("S",)).cells == ("S",)  # unchecked without signature
         assert mk_term(w, ("R",), SIGNATURE).is_flat()
+
+    def test_results_are_valid_by_construction(self):
+        # The combinators build terms and diagrams without the checks of
+        # mk_term and mk_wiring; every result must still pass them.
+        rng = Random(306)
+        terms = []
+        for _ in range(200):
+            t = rand_term(rng)
+            c, c2 = rand_context(rng), rand_context(rng)
+            split = rand_term(rng, outer=oplus(c, c2))
+            terms += [
+                flatten(t),
+                true_term(c),
+                meet_term(t, t),
+                transpose_term(split, (c, c2)),
+            ]
+            if t.cells:
+                terms.append(drop_cell(t, rng.randrange(len(t.cells))))
+        terms += [bare_term(name, SIGNATURE) for name in sorted(SHELLS)]
+        for t in terms:
+            assert mk_term(t.diagram, t.cells) == t
+            d = t.diagram
+            assert mk_wiring(d.inner, d.outer, d.dot_types, d.wires, d.support) == d
 
     def test_bare_term_shape(self):
         t = bare_term("Q", SIGNATURE)

@@ -128,18 +128,57 @@ class TestNormalForm:
     def test_validation_rejects_bad_rows(self):
         c = mk_context(("x",))
         with pytest.raises(ValidationError):
-            WiringDiagram((c,), c, ("x",), ("x",), ((0, 0), (0,)))
+            mk_wiring((c,), c, ("x",), ((0, 0), (0,)))
         with pytest.raises(ValidationError):
-            WiringDiagram((c,), c, ("y",), ("x", "y"), ((0,), (0,)))
+            mk_wiring((c,), c, ("y",), ((0,), (0,)))
         with pytest.raises(ValidationError):
-            WiringDiagram((c,), c, ("x",), ("x",), ((3,), (0,)))
+            mk_wiring((c,), c, ("x",), ((3,), (0,)))
         with pytest.raises(ValidationError):
-            WiringDiagram((c,), c, ("x", "x"), ("x",), ((0,), (0,)))
+            mk_wiring((c,), c, ("x",), ((0,),))
 
     def test_validation_requires_complete_support(self):
+        # mk_wiring completes the support from the shell supports, so no
+        # diagram it returns lacks a shell's symbol.
         c = mk_context(("x",), ("z",))
-        with pytest.raises(ValidationError):
-            WiringDiagram((c,), c, ("x",), ("x",), ((0,), (0,)))
+        w = mk_wiring((c,), c, ("x",), ((0,), (0,)))
+        assert w.support == ("x", "z")
+        assert w.white_labels() == ("z",)
+
+    def test_results_are_valid_by_construction(self):
+        # These operations normalize records they build themselves, without
+        # the checks of mk_wiring; every result must still pass them unchanged.
+        rng = Random(204)
+        diagrams = [empty_wd()]
+        for _ in range(200):
+            shells = [rand_context(rng) for _ in range(rng.randrange(3))]
+            w = rand_wiring(rng, shells)
+            left, right = rand_context(rng), rand_context(rng)
+            blocks = rand_wiring(rng, shells, oplus(left, right))
+            arrow = rand_wiring(rng, [rand_context(rng)])
+            f = rand_morphism_pair(rng, max_arity=3)
+            diagrams += [
+                tensor(w, arrow),
+                as_morphism(w),
+                transpose_wd(arrow),
+                transpose_wd(rand_wiring(rng, [], oplus(left, right)), (left, right)),
+                permute_outer_blocks(blocks, left, right),
+                identity_wd(left),
+                delta_wd(left),
+                mu_wd(left),
+                epsilon_wd(left),
+                eta_wd(left),
+                graph_wd(f),
+                cograph_wd(f),
+                braid_wd(left, right),
+            ]
+            if shells:
+                slot = rng.randrange(len(shells))
+                inside = rand_wiring(
+                    rng, [rand_context(rng) for _ in range(2)], shells[slot]
+                )
+                diagrams.append(substitute(w, slot, inside))
+        for d in diagrams:
+            assert mk_wiring(d.inner, d.outer, d.dot_types, d.wires, d.support) == d
 
 
 class TestSubstitution:
