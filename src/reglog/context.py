@@ -62,9 +62,9 @@ def mk_context(
 ) -> Context:
     """Build a context from a port typing and optional extra support symbols.
 
-    When ``types`` is given, every symbol must be drawn from it.  The
-    support is built sorted and covering the ports, so only the port types
-    themselves need checking.
+    When ``types`` is given, every symbol must be drawn from it.  Every
+    symbol must be nonempty; the support is built sorted and covering the
+    ports, so nothing else about it needs checking.
     """
     port_types = tuple(port_types)
     extra_support = tuple(extra_support)
@@ -73,7 +73,7 @@ def mk_context(
         unknown = [s for s in (*port_types, *extra_support) if s not in known]
         if unknown:
             raise ValidationError(f"unknown type symbols: {sorted(set(unknown))}")
-    if any(not t for t in port_types):
+    if any(not t for t in (*port_types, *extra_support)):
         raise ValidationError("type symbols must be nonempty strings")
     return Context(port_types, _canon_support((*port_types, *extra_support)))
 

@@ -91,7 +91,9 @@ def mk_model(
     (passed through as they are) or predicate shells with (possibly missing)
     row sets.  Every row must match its arity and draw its atoms from the
     domains, and a relation whose context supports a type with an empty
-    domain must be empty."""
+    domain must be empty, and no domain may be named by the empty string."""
+    if any(not t for t in domains):
+        raise ValidationError("type symbols must be nonempty strings")
     rows = rows or {}
     relations = {}
     for name, shell in shells.items():

@@ -7,6 +7,17 @@ middle block.  Internal *functions* are the total deterministic morphisms,
 equivalently the left adjoints; :func:`classify` computes both
 characterizations and insists they agree.
 
+A morphism is stored as a boolean matrix with one ``int`` bitmask per row of
+the domain predicate, in sorted order: bit ``j`` of a row's mask is set when
+the relation pairs that row with the ``j``-th sorted row of the codomain
+predicate.  The join on the middle block then ORs the second relation's masks
+over the set bits of each row, the order is a per-row subset test and the
+meet is a per-row AND.  Tuples of equal arity sort lexicographically, so row
+``i * |R| + j`` of ``oplus_obj(L, R)`` is the pair (row ``i`` of ``L``, row
+``j`` of ``R``), and tensors, braids, copies and discards are index
+arithmetic.  The sets of concatenated rows are derived views, read by
+validation, witnesses and tests.
+
 :func:`check_regular_axioms` sweeps bounded families of objects and morphisms
 and verifies, exhaustively within the stated bounds, the axioms this category
 is supposed to satisfy: finite limits with unique mediators, image
@@ -21,6 +32,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 from .context import Context, mk_context, oplus, terminal_ctx
@@ -28,12 +41,41 @@ from .errors import CompositionError, ValidationError
 from .model import FinRelation, ModelInstance, mk_relation, true_rel
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class SynObject:
-    """A context together with a predicate on it."""
+    """A context together with a predicate on it.
+
+    The sorted rows, their positions and the masks of the identity are
+    computed on first use and cached; equality and hashing see only the two
+    fields.
+    """
 
     context: Context
     predicate: FinRelation
+
+    @cached_property
+    def sorted_rows(self) -> tuple[tuple[str, ...], ...]:
+        """The rows of the predicate in sorted order; mask bits index them."""
+        return tuple(sorted(self.predicate.tuples))
+
+    @cached_property
+    def row_index(self) -> dict[tuple[str, ...], int]:
+        return {row: i for i, row in enumerate(self.sorted_rows)}
+
+    @cached_property
+    def identity_masks(self) -> tuple[int, ...]:
+        # the masks, not the relation: a cached relation pointing back at
+        # its object makes a reference cycle, and such cycles outlive the
+        # many temporary objects of the law suite until the collector runs
+        return tuple(1 << i for i in range(len(self.predicate)))
 
     def __str__(self):
         return f"({self.context}, {len(self.predicate)} rows)"
@@ -64,26 +106,32 @@ def oplus_obj(left: SynObject, right: SynObject) -> SynObject:
 class InternalRelation:
     """A relation ``dom -> cod`` whose marginals respect the endpoint predicates.
 
-    Each row is a row of the domain predicate followed by a row of the
-    codomain predicate.  :func:`mk_internal_relation` checks this for rows
-    that come from outside; the operations of this module build their
-    results directly, because they preserve it.
+    ``masks`` holds one bitmask per row of ``dom.sorted_rows``; bit ``j`` of
+    ``masks[i]`` says that the relation pairs domain row ``i`` with
+    ``cod.sorted_rows[j]``.  :func:`mk_internal_relation` builds the masks
+    from rows that come from outside and checks their marginals; the
+    operations of this module build their results directly, because they
+    preserve the encoding.  ``rows``, :meth:`split_rows` and
+    :meth:`left_marginal` decode the masks back into tuples.
     """
 
     dom: SynObject
     cod: SynObject
-    rows: frozenset[tuple[str, ...]]
+    masks: tuple[int, ...]
 
     def split_rows(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
-        n1 = self.dom.context.arity
-        for row in self.rows:
-            yield row[:n1], row[n1:]
+        ys = self.cod.sorted_rows
+        for x, mask in zip(self.dom.sorted_rows, self.masks):
+            for j in _bits(mask):
+                yield x, ys[j]
+
+    @property
+    def rows(self) -> frozenset[tuple[str, ...]]:
+        """Each pair as a domain row followed by a codomain row."""
+        return frozenset(x + y for x, y in self.split_rows())
 
     def left_marginal(self) -> frozenset[tuple[str, ...]]:
-        return frozenset(x for x, _ in self.split_rows())
-
-    def right_marginal(self) -> frozenset[tuple[str, ...]]:
-        return frozenset(y for _, y in self.split_rows())
+        return frozenset(x for x, mask in zip(self.dom.sorted_rows, self.masks) if mask)
 
 
 def mk_internal_relation(
@@ -97,67 +145,86 @@ def mk_internal_relation(
         raise ValidationError("left marginal escapes the domain predicate")
     if not {row[n1:] for row in rows} <= cod.predicate.tuples:
         raise ValidationError("right marginal escapes the codomain predicate")
-    return InternalRelation(dom, cod, rows)
+    at_x, at_y = dom.row_index, cod.row_index
+    masks = [0] * len(dom.predicate)
+    for row in rows:
+        masks[at_x[row[:n1]]] |= 1 << at_y[row[n1:]]
+    return InternalRelation(dom, cod, tuple(masks))
 
 
 def identity_ir(o: SynObject) -> InternalRelation:
-    return InternalRelation(o, o, frozenset(row + row for row in o.predicate.tuples))
+    return InternalRelation(o, o, o.identity_masks)
 
 
 def compose_ir(first: InternalRelation, second: InternalRelation) -> InternalRelation:
-    """Relational join ``first ; second`` on the shared middle block."""
-    if first.cod != second.dom:
+    """Relational join ``first ; second``: each row of ``first`` ORs together
+    the masks of the middle rows it reaches."""
+    if first.cod is not second.dom and first.cod != second.dom:
         raise CompositionError("middle objects differ")
-    n1 = first.dom.context.arity
-    n2 = second.dom.context.arity
-    by_middle: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for row in second.rows:
-        by_middle.setdefault(row[:n2], []).append(row[n2:])
-    rows = frozenset(
-        row[:n1] + z for row in first.rows for z in by_middle.get(row[n1:], ())
-    )
-    return InternalRelation(first.dom, second.cod, rows)
+    after = second.masks
+    masks = []
+    for mask in first.masks:
+        reached = 0
+        while mask:
+            low = mask & -mask
+            reached |= after[low.bit_length() - 1]
+            mask ^= low
+        masks.append(reached)
+    return InternalRelation(first.dom, second.cod, tuple(masks))
 
 
 def transpose_ir(rel: InternalRelation) -> InternalRelation:
-    return InternalRelation(
-        rel.cod, rel.dom, frozenset(y + x for x, y in rel.split_rows())
-    )
+    columns = [0] * len(rel.cod.predicate)
+    for i, mask in enumerate(rel.masks):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= bit
+            mask ^= low
+    return InternalRelation(rel.cod, rel.dom, tuple(columns))
 
 
 def leq_ir(lower: InternalRelation, upper: InternalRelation) -> bool:
     if lower.dom != upper.dom or lower.cod != upper.cod:
         raise CompositionError("ordering compares parallel relations")
-    return lower.rows <= upper.rows
+    return not any(a & ~b for a, b in zip(lower.masks, upper.masks))
 
 
 def meet_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
     if a.dom != b.dom or a.cod != b.cod:
         raise CompositionError("meet needs parallel relations")
-    return InternalRelation(a.dom, a.cod, a.rows & b.rows)
+    return InternalRelation(
+        a.dom, a.cod, tuple(x & y for x, y in zip(a.masks, b.masks))
+    )
 
 
 def tensor_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
-    rows = frozenset(
-        xa + xb + ya + yb
-        for xa, ya in a.split_rows()
-        for xb, yb in b.split_rows()
+    # domain row (i, k) relates to codomain row (p, q), at p * width + q, when
+    # row i of ``a`` has bit p and row k of ``b`` has bit q
+    width = len(b.cod.predicate)
+    masks = []
+    for mask_a in a.masks:
+        shifts = [p * width for p in _bits(mask_a)]
+        for mask_b in b.masks:
+            acc = 0
+            for shift in shifts:
+                acc |= mask_b << shift
+            masks.append(acc)
+    return InternalRelation(
+        oplus_obj(a.dom, b.dom), oplus_obj(a.cod, b.cod), tuple(masks)
     )
-    return InternalRelation(oplus_obj(a.dom, b.dom), oplus_obj(a.cod, b.cod), rows)
 
 
 def braid_ir(left: SynObject, right: SynObject) -> InternalRelation:
-    rows = frozenset(
-        a + b + b + a
-        for a in left.predicate.tuples
-        for b in right.predicate.tuples
-    )
-    return InternalRelation(oplus_obj(left, right), oplus_obj(right, left), rows)
+    nl, nr = len(left.predicate), len(right.predicate)
+    masks = tuple(1 << (j * nl + i) for i in range(nl) for j in range(nr))
+    return InternalRelation(oplus_obj(left, right), oplus_obj(right, left), masks)
 
 
 def delta_ir(o: SynObject) -> InternalRelation:
+    n = len(o.predicate)
     return InternalRelation(
-        o, oplus_obj(o, o), frozenset(row + row + row for row in o.predicate.tuples)
+        o, oplus_obj(o, o), tuple(1 << (i * n + i) for i in range(n))
     )
 
 
@@ -167,7 +234,7 @@ def mu_ir(o: SynObject) -> InternalRelation:
 
 def bang(o: SynObject) -> InternalRelation:
     """The discard map to the terminal object."""
-    return InternalRelation(o, terminal_syn(), o.predicate.tuples)
+    return InternalRelation(o, terminal_syn(), (1,) * len(o.predicate))
 
 
 def eta_ir(o: SynObject) -> InternalRelation:
@@ -187,15 +254,13 @@ class Classification:
 def classify(rel: InternalRelation) -> Classification:
     """Totality and determinism, checked against the adjoint characterization.
 
-    The direct route reads both properties off the rows.  The adjoint route
-    asks whether the transpose is a right adjoint (unit and counit
-    inequalities).  Both are computed and must agree.
+    The direct route reads both properties off the masks: every row has a
+    bit, and no row has two.  The adjoint route asks whether the transpose
+    is a right adjoint (unit and counit inequalities).  Both are computed
+    and must agree.
     """
-    total = rel.dom.predicate.tuples <= rel.left_marginal()
-    images: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-    for x, y in rel.split_rows():
-        images.setdefault(x, set()).add(y)
-    deterministic = all(len(ys) == 1 for ys in images.values())
+    total = all(rel.masks)
+    deterministic = all(mask & (mask - 1) == 0 for mask in rel.masks)
 
     dag = transpose_ir(rel)
     unit = leq_ir(identity_ir(rel.dom), compose_ir(rel, dag))
@@ -223,27 +288,32 @@ def graph_ir(
 
 
 def enumerate_functions(dom: SynObject, cod: SynObject) -> list[InternalRelation]:
-    """All internal functions ``dom -> cod``: graphs of row maps."""
-    xs = sorted(dom.predicate.tuples)
-    ys = sorted(cod.predicate.tuples)
-    if xs and not ys:
-        return []
+    """All internal functions ``dom -> cod``: graphs of row maps, in the
+    lexicographic order of the sequence of images."""
+    units = [1 << j for j in range(len(cod.predicate))]
     return [
-        InternalRelation(dom, cod, frozenset(x + y for x, y in zip(xs, choice)))
-        for choice in itertools.product(ys, repeat=len(xs))
+        InternalRelation(dom, cod, choice)
+        for choice in itertools.product(units, repeat=len(dom.predicate))
     ]
 
 
 def enumerate_relations(dom: SynObject, cod: SynObject) -> list[InternalRelation]:
-    """All internal relations ``dom -> cod`` (subsets with good marginals)."""
-    space = sorted(
-        x + y for x in dom.predicate.tuples for y in cod.predicate.tuples
-    )
-    return [
-        InternalRelation(dom, cod, frozenset(rows))
-        for k in range(len(space) + 1)
-        for rows in itertools.combinations(space, k)
-    ]
+    """All internal relations ``dom -> cod`` (subsets with good marginals),
+    smallest first, then lexicographic in the sorted concatenated rows.
+
+    Position ``p`` of the ``|dom| * |cod|`` cells is the pair
+    ``(p // |cod|, p % |cod|)``, which is also where ``x + y`` sorts.
+    """
+    nx, ny = len(dom.predicate), len(cod.predicate)
+    cells = [(p // ny, 1 << (p % ny)) for p in range(nx * ny)]
+    out = []
+    for k in range(len(cells) + 1):
+        for chosen in itertools.combinations(cells, k):
+            masks = [0] * nx
+            for i, bit in chosen:
+                masks[i] |= bit
+            out.append(InternalRelation(dom, cod, tuple(masks)))
+    return out
 
 
 def pullback_ir(
@@ -254,34 +324,46 @@ def pullback_ir(
         raise CompositionError("pullback needs a cospan")
     if not (is_function(t1) and is_function(t2)):
         raise ValidationError("pullback is taken over internal functions")
-    rows = set()
-    by_y: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for x2, y in t2.split_rows():
-        by_y.setdefault(y, []).append(x2)
-    for x1, y in t1.split_rows():
-        for x2 in by_y.get(y, ()):
-            rows.add(x1 + x2)
-    apex = _syn_object(oplus(t1.dom.context, t2.dom.context), rows)
-    n1 = t1.dom.context.arity
-    p1 = InternalRelation(apex, t1.dom, frozenset(row + row[:n1] for row in rows))
-    p2 = InternalRelation(apex, t2.dom, frozenset(row + row[n1:] for row in rows))
+    # (i, k) in this order is also the sorted order of the apex rows
+    pairs = [
+        (i, k)
+        for i, m1 in enumerate(t1.masks)
+        for k, m2 in enumerate(t2.masks)
+        if m1 & m2
+    ]
+    xs1, xs2 = t1.dom.sorted_rows, t2.dom.sorted_rows
+    apex = _syn_object(
+        oplus(t1.dom.context, t2.dom.context), (xs1[i] + xs2[k] for i, k in pairs)
+    )
+    p1 = InternalRelation(apex, t1.dom, tuple(1 << i for i, _ in pairs))
+    p2 = InternalRelation(apex, t2.dom, tuple(1 << k for _, k in pairs))
     return apex, p1, p2
 
 
 def pair_ir(
     u1: InternalRelation, u2: InternalRelation, target: SynObject
 ) -> InternalRelation:
-    """The tupling ``<u1, u2>`` into an object on the product context."""
+    """The tupling ``<u1, u2>`` into an object on the product context.
+
+    ``target`` comes from the caller, so every pair must be one of its rows.
+    """
     if u1.dom != u2.dom:
         raise CompositionError("pairing needs a shared domain")
-    rows = set()
-    by_x: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for x, y2 in u2.split_rows():
-        by_x.setdefault(x, []).append(y2)
-    for x, y1 in u1.split_rows():
-        for y2 in by_x.get(x, ()):
-            rows.add(x + y1 + y2)
-    return mk_internal_relation(u1.dom, target, rows)
+    ys1, ys2 = u1.cod.sorted_rows, u2.cod.sorted_rows
+    where = target.row_index
+    masks = []
+    for m1, m2 in zip(u1.masks, u2.masks):
+        acc = 0
+        for j in _bits(m1):
+            for k in _bits(m2):
+                at = where.get(ys1[j] + ys2[k])
+                if at is None:
+                    raise ValidationError(
+                        "right marginal escapes the codomain predicate"
+                    )
+                acc |= 1 << at
+        masks.append(acc)
+    return InternalRelation(u1.dom, target, tuple(masks))
 
 
 def equalizer_ir(
@@ -292,10 +374,10 @@ def equalizer_ir(
         raise CompositionError("equalizer needs parallel relations")
     if not (is_function(t1) and is_function(t2)):
         raise ValidationError("equalizer is taken over internal functions")
-    n1 = t1.dom.context.arity
-    agree = frozenset(row[:n1] for row in t1.rows & t2.rows)
-    obj = _syn_object(t1.dom.context, agree)
-    incl = InternalRelation(obj, t1.dom, frozenset(x + x for x in agree))
+    agree = [i for i, (a, b) in enumerate(zip(t1.masks, t2.masks)) if a & b]
+    xs = t1.dom.sorted_rows
+    obj = _syn_object(t1.dom.context, (xs[i] for i in agree))
+    incl = InternalRelation(obj, t1.dom, tuple(1 << i for i in agree))
     return obj, incl
 
 
@@ -303,27 +385,34 @@ def image_ir(
     rel: InternalRelation,
 ) -> tuple[InternalRelation, InternalRelation]:
     """Factor through the right marginal: regular epi followed by mono."""
-    im = rel.right_marginal()
-    image = _syn_object(rel.cod.context, im)
-    epi = InternalRelation(rel.dom, image, rel.rows)
-    mono = InternalRelation(image, rel.cod, frozenset(y + y for y in im))
+    kept = list(_bits(reduce(or_, rel.masks, 0)))
+    ys = rel.cod.sorted_rows
+    image = _syn_object(rel.cod.context, (ys[j] for j in kept))
+    epi = InternalRelation(
+        rel.dom,
+        image,
+        tuple(
+            sum(1 << r for r, j in enumerate(kept) if mask >> j & 1)
+            for mask in rel.masks
+        ),
+    )
+    mono = InternalRelation(image, rel.cod, tuple(1 << j for j in kept))
     return epi, mono
 
 
 def is_mono_ir(rel: InternalRelation) -> bool:
-    return compose_ir(rel, transpose_ir(rel)).rows == identity_ir(rel.dom).rows
+    return compose_ir(rel, transpose_ir(rel)).masks == identity_ir(rel.dom).masks
 
 
 def is_regular_epi_ir(rel: InternalRelation) -> bool:
-    return rel.cod.predicate.tuples <= rel.right_marginal()
+    return reduce(or_, rel.masks, 0) == (1 << len(rel.cod.predicate)) - 1
 
 
 def subobjects(o: SynObject) -> list[SynObject]:
     """All subobjects, smallest first then lexicographic; 2^|rows| of them."""
-    rows = sorted(o.predicate.tuples)
     out = []
-    for k in range(len(rows) + 1):
-        for subset in itertools.combinations(rows, k):
+    for k in range(len(o.predicate) + 1):
+        for subset in itertools.combinations(o.sorted_rows, k):
             out.append(_syn_object(o.context, subset))
     return out
 
@@ -500,12 +589,12 @@ def _object_law_checks(objs: list[SynObject]) -> list[CheckResult]:
         frobenius_r = compose_ir(tensor_ir(ident, delta), tensor_ir(mu, ident))
         special = compose_ir(delta, mu)
         laws = [
-            counit_l.rows == ident.rows,
-            counit_r.rows == ident.rows,
-            coassoc_l.rows == coassoc_r.rows,
-            cocomm.rows == delta.rows,
-            frobenius_l.rows == frobenius_r.rows,
-            special.rows == ident.rows,
+            counit_l.masks == ident.masks,
+            counit_r.masks == ident.masks,
+            coassoc_l.masks == coassoc_r.masks,
+            cocomm.masks == delta.masks,
+            frobenius_l.masks == frobenius_r.masks,
+            special.masks == ident.masks,
         ]
         frob.cases += len(laws)
         if frob.ok and not all(laws):
@@ -537,7 +626,7 @@ def _terminal_checks(objs: list[SynObject], cap: int) -> list[CheckResult]:
                 r for r in enumerate_relations(o, point) if classify(r).function
             ]
             res.cases += 1
-            if res.ok and (len(functions) != 1 or functions[0].rows != bang(o).rows):
+            if res.ok and (len(functions) != 1 or functions[0].masks != bang(o).masks):
                 res.ok = False
                 res.witness = f"object {o}: {len(functions)} maps to the point"
             sub.cases += 1
@@ -574,7 +663,7 @@ def _hom_sweep_checks(
                 left_unit = compose_ir(id1, rel)
                 squeezed = compose_ir(left_unit, id2)
                 validity.cases += 1
-                if validity.ok and squeezed.rows != rel.rows:
+                if validity.ok and squeezed.masks != rel.masks:
                     validity.ok = False
                     validity.witness = f"{o1} -> {o2}, rows {sorted(rel.rows)}"
                 cls = classify(rel)  # raises if the two routes disagree
@@ -582,13 +671,13 @@ def _hom_sweep_checks(
                 if cls.function:
                     functions.append(rel)
                 invol.cases += 1
-                if invol.ok and transpose_ir(transpose_ir(rel)).rows != rel.rows:
+                if invol.ok and transpose_ir(transpose_ir(rel)).masks != rel.masks:
                     invol.ok = False
                     invol.witness = f"{o1} -> {o2}"
                 unital.cases += 1
                 right_unit = compose_ir(rel, id2)
                 if unital.ok and not (
-                    left_unit.rows == rel.rows == right_unit.rows
+                    left_unit.masks == rel.masks == right_unit.masks
                 ):
                     unital.ok = False
                     unital.witness = f"{o1} -> {o2}"
@@ -613,9 +702,12 @@ def _hom_sweep_checks(
             for fa in functions:
                 for fb in functions:
                     discrete.cases += 1
+                    # strict inclusion, row by row; tuple ``<`` would
+                    # compare the masks as numbers
                     if (
                         discrete.ok
-                        and fa.rows < fb.rows
+                        and fa.masks != fb.masks
+                        and all(a & ~b == 0 for a, b in zip(fa.masks, fb.masks))
                     ):
                         discrete.ok = False
                         discrete.witness = f"{o1} -> {o2}"
@@ -658,20 +750,20 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]
         bs = enumerate_relations(o2, o3)
         cs = enumerate_relations(o3, o4)
         bcs = [[compose_ir(b, c) for c in cs] for b in bs]
-        # (a;b);c depends on a;b only through its rows, and a;(b;c) on b;c
-        lhs_of: dict[tuple[frozenset, int], frozenset] = {}
-        rhs_of: dict[tuple[int, frozenset], frozenset] = {}
+        # (a;b);c depends on a;b only through its masks, and a;(b;c) on b;c
+        lhs_of: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+        rhs_of: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         for a_idx, a in enumerate(as_):
             for b, b_then in zip(bs, bcs):
                 ab = compose_ir(a, b)
                 for c_idx, (c, bc) in enumerate(zip(cs, b_then)):
                     check.cases += 1
-                    lhs = lhs_of.get((ab.rows, c_idx))
+                    lhs = lhs_of.get((ab.masks, c_idx))
                     if lhs is None:
-                        lhs = lhs_of[ab.rows, c_idx] = compose_ir(ab, c).rows
-                    rhs = rhs_of.get((a_idx, bc.rows))
+                        lhs = lhs_of[ab.masks, c_idx] = compose_ir(ab, c).masks
+                    rhs = rhs_of.get((a_idx, bc.masks))
                     if rhs is None:
-                        rhs = rhs_of[a_idx, bc.rows] = compose_ir(a, bc).rows
+                        rhs = rhs_of[a_idx, bc.masks] = compose_ir(a, bc).masks
                     if check.ok and lhs != rhs:
                         check.ok = False
                         check.witness = f"{o1} -> {o2} -> {o3} -> {o4}"
@@ -686,9 +778,9 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
     for i, a in enumerate(family):
         for j, b in enumerate(family):
             funcs[i, j] = enumerate_functions(a, b)
-    # after[x, i, k][p][q]: the rows of funcs[x, i][p] ; funcs[i, k][q]
+    # after[x, i, k][p][q]: the masks of funcs[x, i][p] ; funcs[i, k][q]
     after = {
-        (x, i, k): [[compose_ir(u, t).rows for t in funcs[i, k]] for u in funcs[x, i]]
+        (x, i, k): [[compose_ir(u, t).masks for t in funcs[i, k]] for u in funcs[x, i]]
         for x in range(n)
         for i in range(n)
         for k in range(n)
@@ -707,7 +799,7 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                         left = compose_ir(p1, t1)
                         right = compose_ir(p2, t2)
                         if pb_exists.ok and (
-                            left.rows != right.rows
+                            left.masks != right.masks
                             or not is_function(p1)
                             or not is_function(p2)
                         ):
@@ -732,19 +824,19 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                                     if legs is None:
                                         legs = [
                                             (
-                                                compose_ir(m, p1).rows,
-                                                compose_ir(m, p2).rows,
-                                                m.rows,
+                                                compose_ir(m, p1).masks,
+                                                compose_ir(m, p2).masks,
+                                                m.masks,
                                             )
                                             for m in enumerate_functions(x, apex)
                                         ]
                                     mediators = [
                                         m
                                         for r1, r2, m in legs
-                                        if r1 == u1.rows and r2 == u2.rows
+                                        if r1 == u1.masks and r2 == u2.masks
                                     ]
                                     expected = pair_ir(u1, u2, apex)
-                                    if pb_unique.ok and mediators != [expected.rows]:
+                                    if pb_unique.ok and mediators != [expected.masks]:
                                         pb_unique.ok = False
                                         pb_unique.witness = (
                                             f"cone {x} over {o1} -> {o} <- {o2}"
@@ -758,7 +850,7 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                     obj, incl = equalizer_ir(t1, t2)
                     good = (
                         is_mono_ir(incl)
-                        and compose_ir(incl, t1).rows == compose_ir(incl, t2).rows
+                        and compose_ir(incl, t1).masks == compose_ir(incl, t2).masks
                     )
                     eq_check.cases += 1
                     if eq_check.ok and not good:
@@ -773,10 +865,10 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                             eq_check.cases += 1
                             if legs is None:
                                 legs = [
-                                    compose_ir(m, incl).rows
+                                    compose_ir(m, incl).masks
                                     for m in enumerate_functions(x, obj)
                                 ]
-                            if eq_check.ok and legs.count(u.rows) != 1:
+                            if eq_check.ok and legs.count(u.masks) != 1:
                                 eq_check.ok = False
                                 eq_check.witness = (
                                     f"cone {x} into equalizer of {o1} -> {o2}"
@@ -796,7 +888,7 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                 and is_mono_ir(mono)
                 and is_function(epi)
                 and is_function(mono)
-                and recomposed.rows == t.rows
+                and recomposed.masks == t.masks
             ):
                 img.ok = False
                 img.witness = f"function {family[i]} -> {family[j]}"
@@ -810,20 +902,20 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
         for m in monos:
             fs = enumerate_functions(e.dom, m.dom)
             gs = enumerate_functions(e.cod, m.cod)
-            e_then = [compose_ir(e, g).rows for g in gs]
+            e_then = [compose_ir(e, g).masks for g in gs]
             legs = None
             for f in fs:
                 fm = compose_ir(f, m)
                 for g, eg in zip(gs, e_then):
-                    if eg != fm.rows:
+                    if eg != fm.masks:
                         continue
                     ortho.cases += 1
                     if legs is None:
                         legs = [
-                            (compose_ir(e, h).rows, compose_ir(h, m).rows)
+                            (compose_ir(e, h).masks, compose_ir(h, m).masks)
                             for h in enumerate_functions(e.cod, m.dom)
                         ]
-                    if ortho.ok and legs.count((f.rows, g.rows)) != 1:
+                    if ortho.ok and legs.count((f.masks, g.masks)) != 1:
                         ortho.ok = False
                         ortho.witness = (
                             f"square over epi {e.dom} ->> {e.cod}, "

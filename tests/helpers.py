@@ -698,6 +698,132 @@ def oracle_substitute(
 
 
 # ---------------------------------------------------------------------------
+# independent internal-relation oracle: sets of concatenated rows
+# ---------------------------------------------------------------------------
+#
+# The set-of-rows algorithms that reglog.syncat computed before it encoded a
+# relation as one bitmask per domain row.  Each reads only the endpoint
+# predicates and the ``rows`` view of its arguments, and returns row sets.
+
+
+def _split(rel) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    n1 = rel.dom.context.arity
+    return [(row[:n1], row[n1:]) for row in rel.rows]
+
+
+def oracle_compose(first, second) -> frozenset:
+    """Join on the middle block, then project it away."""
+    n1 = first.dom.context.arity
+    n2 = second.dom.context.arity
+    by_middle: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for row in second.rows:
+        by_middle.setdefault(row[:n2], []).append(row[n2:])
+    return frozenset(
+        row[:n1] + z for row in first.rows for z in by_middle.get(row[n1:], ())
+    )
+
+
+def oracle_transpose(rel) -> frozenset:
+    return frozenset(y + x for x, y in _split(rel))
+
+
+def oracle_leq(lower, upper) -> bool:
+    return lower.rows <= upper.rows
+
+
+def oracle_meet(a, b) -> frozenset:
+    return a.rows & b.rows
+
+
+def oracle_tensor(a, b) -> frozenset:
+    return frozenset(
+        xa + xb + ya + yb for xa, ya in _split(a) for xb, yb in _split(b)
+    )
+
+
+def oracle_braid(left, right) -> frozenset:
+    return frozenset(
+        a + b + b + a for a in left.predicate.tuples for b in right.predicate.tuples
+    )
+
+
+def oracle_delta(o) -> frozenset:
+    """The rows of the copy map; the merge map has the same concatenated rows."""
+    return frozenset(row + row + row for row in o.predicate.tuples)
+
+
+def oracle_bang(o) -> frozenset:
+    """The rows of the discard map; the spawn map has the same concatenated rows."""
+    return o.predicate.tuples
+
+
+def oracle_classify(rel) -> tuple[bool, bool]:
+    """Totality and determinism read off the rows."""
+    images: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
+    for x, y in _split(rel):
+        images.setdefault(x, set()).add(y)
+    total = rel.dom.predicate.tuples <= images.keys()
+    return total, all(len(ys) == 1 for ys in images.values())
+
+
+def oracle_pair(u1, u2) -> frozenset:
+    """The rows of the tupling, before they are checked against a target."""
+    by_x: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for x, y2 in _split(u2):
+        by_x.setdefault(x, []).append(y2)
+    return frozenset(
+        x + y1 + y2 for x, y1 in _split(u1) for y2 in by_x.get(x, ())
+    )
+
+
+def oracle_pullback(t1, t2) -> tuple[frozenset, frozenset, frozenset]:
+    """The apex predicate and the rows of both projections."""
+    by_y: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for x2, y in _split(t2):
+        by_y.setdefault(y, []).append(x2)
+    apex = frozenset(x1 + x2 for x1, y in _split(t1) for x2 in by_y.get(y, ()))
+    n1 = t1.dom.context.arity
+    return (
+        apex,
+        frozenset(row + row[:n1] for row in apex),
+        frozenset(row + row[n1:] for row in apex),
+    )
+
+
+def oracle_equalizer(t1, t2) -> tuple[frozenset, frozenset]:
+    """The equalizer predicate and the rows of its inclusion."""
+    n1 = t1.dom.context.arity
+    agree = frozenset(row[:n1] for row in t1.rows & t2.rows)
+    return agree, frozenset(x + x for x in agree)
+
+
+def oracle_image(rel) -> tuple[frozenset, frozenset, frozenset]:
+    """The image predicate and the rows of the epi and of the mono."""
+    image = frozenset(y for _, y in _split(rel))
+    return image, rel.rows, frozenset(y + y for y in image)
+
+
+def oracle_relations(dom, cod) -> list[frozenset]:
+    """Every relation, smallest first, then by sorted concatenated rows."""
+    space = sorted(x + y for x in dom.predicate.tuples for y in cod.predicate.tuples)
+    return [
+        frozenset(rows)
+        for k in range(len(space) + 1)
+        for rows in itertools.combinations(space, k)
+    ]
+
+
+def oracle_functions(dom, cod) -> list[frozenset]:
+    """Every graph of a row map, in the order of the sequence of images."""
+    xs = sorted(dom.predicate.tuples)
+    ys = sorted(cod.predicate.tuples)
+    return [
+        frozenset(x + y for x, y in zip(xs, choice))
+        for choice in itertools.product(ys, repeat=len(xs))
+    ]
+
+
+# ---------------------------------------------------------------------------
 # independent containment oracle: quotient countermodels
 # ---------------------------------------------------------------------------
 

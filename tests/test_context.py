@@ -94,6 +94,11 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             mk_context(("",))
 
+    def test_extra_support_symbols_must_be_nonempty(self):
+        # An empty symbol would print as "(x | supp )", which the DSL cannot read.
+        with pytest.raises(ValidationError, match="must be nonempty strings"):
+            mk_context(("x",), ("",))
+
     def test_results_are_valid_by_construction(self):
         # These operations construct contexts and morphisms without the checks
         # of mk_context and mk_morphism; every result must still pass them.

@@ -80,6 +80,10 @@ class TestModelConstruction:
         ok = mk_model({"x": ("a",)}, {"U": shell})
         assert ok.relation("U").tuples == frozenset()
 
+    def test_domain_names_must_be_nonempty(self):
+        with pytest.raises(ValidationError, match="must be nonempty strings"):
+            mk_model({"": ("a",)}, {})
+
     def test_missing_domain_is_empty(self):
         m = chain_model()
         assert m.domain("y") == ()

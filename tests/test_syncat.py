@@ -3,13 +3,18 @@
 Highlights: the function characterisation is triangulated three ways (row
 shape, adjointness of the transpose, explicit search over adjoint
 candidates); composition fails to preserve meets on a pinned two-element
-counterexample; the bounded axiom suite passes on healthy inputs and, under
-deliberate sabotage of ``mu_ir``, ``pullback_ir``, ``equalizer_ir`` or
-``image_ir``, fails with a witness.
+counterexample; every bitmask operation agrees with the set-of-rows oracle in
+``helpers``; the bounded axiom suite passes on healthy inputs and, under
+deliberate sabotage of ``mu_ir``, ``pullback_ir``, ``equalizer_ir``,
+``image_ir`` or ``classify``, fails with a witness.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -54,6 +59,26 @@ from reglog.syncat import (
     transpose_ir,
 )
 
+from helpers import (
+    ROOT,
+    oracle_bang,
+    oracle_braid,
+    oracle_classify,
+    oracle_compose,
+    oracle_delta,
+    oracle_equalizer,
+    oracle_functions,
+    oracle_image,
+    oracle_leq,
+    oracle_meet,
+    oracle_pair,
+    oracle_pullback,
+    oracle_relations,
+    oracle_tensor,
+    oracle_transpose,
+    src_env,
+)
+
 
 def pair_model():
     return mk_model(
@@ -72,6 +97,15 @@ def rand_ir(rng: Random, dom: SynObject, cod: SynObject) -> InternalRelation:
     return mk_internal_relation(
         dom, cod, [row for row in space if rng.random() < 0.5]
     )
+
+
+# every subobject of three small objects, and the three objects themselves
+SMALL_OBJECTS = [
+    *subobjects(O2),
+    *subobjects(oplus_obj(O1, O1)),
+    *subobjects(oplus_obj(O2, O1)),
+]
+FULL_OBJECTS = [O2, oplus_obj(O1, O1), oplus_obj(O2, O1)]
 
 
 class TestObjects:
@@ -322,6 +356,116 @@ class TestLimits:
             assert is_mono_ir(mono)
 
 
+class TestAgainstRowOracle:
+    """The bitmask operations against the set-of-rows algorithms they replaced."""
+
+    def test_enumerations_keep_the_row_order(self):
+        for a, b in itertools.product(SMALL_OBJECTS, repeat=2):
+            assert [r.rows for r in enumerate_relations(a, b)] == oracle_relations(a, b)
+            assert [f.rows for f in enumerate_functions(a, b)] == oracle_functions(a, b)
+
+    def test_structure_maps(self):
+        for o in SMALL_OBJECTS:
+            two = oplus_obj(o, o)
+            assert identity_ir(o).rows == frozenset(x + x for x in o.predicate.tuples)
+            assert delta_ir(o).rows == mu_ir(o).rows == oracle_delta(o)
+            assert (mu_ir(o).dom, mu_ir(o).cod) == (two, o)
+            assert bang(o).rows == eta_ir(o).rows == oracle_bang(o)
+            assert (eta_ir(o).dom, eta_ir(o).cod) == (terminal_syn(), o)
+            for p in SMALL_OBJECTS:
+                assert braid_ir(o, p).rows == oracle_braid(o, p)
+
+    def test_unary_and_parallel_operations(self):
+        for a, b in itertools.product(SMALL_OBJECTS, repeat=2):
+            rels = enumerate_relations(a, b)
+            for f in rels:
+                assert transpose_ir(f).rows == oracle_transpose(f)
+                verdict = classify(f)
+                assert (verdict.total, verdict.deterministic) == oracle_classify(f)
+                image, epi_rows, mono_rows = oracle_image(f)
+                epi, mono = image_ir(f)
+                assert epi.cod.predicate.tuples == image
+                assert (epi.rows, mono.rows) == (epi_rows, mono_rows)
+                assert is_regular_epi_ir(f) == (image == b.predicate.tuples)
+                for g in rels:
+                    assert leq_ir(f, g) == oracle_leq(f, g)
+                    assert meet_ir(f, g).rows == oracle_meet(f, g)
+            fns = enumerate_functions(a, b)
+            for t1 in fns:
+                for t2 in fns:
+                    obj, incl = equalizer_ir(t1, t2)
+                    assert (obj.predicate.tuples, incl.rows) == oracle_equalizer(t1, t2)
+
+    def test_composites(self):
+        for a, b in itertools.product(SMALL_OBJECTS, repeat=2):
+            for c in FULL_OBJECTS:
+                target = oplus_obj(b, c)
+                for f in enumerate_relations(a, b):
+                    for g in enumerate_relations(b, c):
+                        assert compose_ir(f, g).rows == oracle_compose(f, g)
+                        assert tensor_ir(f, g).rows == oracle_tensor(f, g)
+                    for u in enumerate_relations(a, c):
+                        assert pair_ir(f, u, target).rows == oracle_pair(f, u)
+                for t1 in enumerate_functions(a, c):
+                    for t2 in enumerate_functions(b, c):
+                        apex, p1, p2 = pullback_ir(t1, t2)
+                        assert (apex.predicate.tuples, p1.rows, p2.rows) == (
+                            oracle_pullback(t1, t2)
+                        )
+
+    def test_random_relations(self):
+        rng = Random(606)
+        objs = [
+            O1,
+            O2,
+            terminal_syn(),
+            oplus_obj(O2, O1),
+            oplus_obj(O2, O2),
+            oplus_obj(oplus_obj(O2, O2), O1),
+        ]
+
+        def pick(o: SynObject) -> list:
+            return [row for row in sorted(o.predicate.tuples) if rng.random() < 0.6]
+
+        def rand_rel(dom: SynObject, cod: SynObject) -> InternalRelation:
+            rows = pick(oplus_obj(dom, cod))
+            rel = mk_internal_relation(dom, cod, rows)
+            assert rel.rows == frozenset(rows)
+            return rel
+
+        for _ in range(300):
+            a, b, c, d = (rng.choice(objs) for _ in range(4))
+            f, f2 = rand_rel(a, b), rand_rel(a, b)
+            g, h, u = rand_rel(b, c), rand_rel(c, d), rand_rel(a, c)
+            assert compose_ir(f, g).rows == oracle_compose(f, g)
+            assert compose_ir(compose_ir(f, g), h).rows == oracle_compose(
+                compose_ir(f, g), h
+            )
+            assert transpose_ir(f).rows == oracle_transpose(f)
+            assert leq_ir(f, f2) == oracle_leq(f, f2)
+            assert meet_ir(f, f2).rows == oracle_meet(f, f2)
+            assert tensor_ir(f, h).rows == oracle_tensor(f, h)
+            verdict = classify(f)
+            assert (verdict.total, verdict.deterministic) == oracle_classify(f)
+            epi, mono = image_ir(f)
+            assert (epi.cod.predicate.tuples, epi.rows, mono.rows) == oracle_image(f)
+            # a target that may miss some pairs: pair_ir must then refuse
+            target = mk_syn_object(oplus(b.context, c.context), pick(oplus_obj(b, c)))
+            paired = oracle_pair(f, u)
+            n = a.context.arity
+            if {row[n:] for row in paired} <= target.predicate.tuples:
+                assert pair_ir(f, u, target).rows == paired
+            else:
+                with pytest.raises(ValidationError):
+                    pair_ir(f, u, target)
+            t1, t1b = (rng.choice(enumerate_functions(a, c)) for _ in range(2))
+            t2 = rng.choice(enumerate_functions(b, c))
+            apex, p1, p2 = pullback_ir(t1, t2)
+            assert (apex.predicate.tuples, p1.rows, p2.rows) == oracle_pullback(t1, t2)
+            obj, incl = equalizer_ir(t1, t1b)
+            assert (obj.predicate.tuples, incl.rows) == oracle_equalizer(t1, t1b)
+
+
 class TestAxiomSuite:
     SMALL = AxiomBounds(max_arity=1, hom_arity=1, max_tuple_space=4, limit_objects=4)
 
@@ -402,6 +546,40 @@ class TestAxiomSuite:
         assert "image_factorization" in failing
         bad = next(c for c in report.checks if c.name == "image_factorization")
         assert bad.witness
+
+
+    def test_broken_classification_is_reported_with_witness(self, monkeypatch):
+        # Calling every relation a function puts nested relations among the
+        # functions, so their order is no longer discrete.
+        monkeypatch.setattr(syncat, "classify", lambda rel: Classification(True, True))
+        report = check_regular_axioms(pair_model(), self.SMALL)
+        assert not report.ok
+        bad = next(c for c in report.checks if c.name == "order_on_functions_discrete")
+        assert not bad.ok
+        assert bad.witness
+
+
+class TestLawsReport:
+    def test_script_passes_at_small_bounds(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                str(ROOT / "scripts" / "laws_report.py"),
+                "--arity", "1", "--hom-arity", "1", "--objects", "3",
+            ],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        checks = [
+            line for line in lines if re.match(r"(ok|FAIL) +\w+ \(\d+ cases\)", line)
+        ]
+        assert len(checks) == 18
+        assert all(line.startswith("ok ") for line in checks)
+        assert lines[-1] == "result: ok"
 
 
 class TestFundamental:
