@@ -52,10 +52,7 @@ def _get_diagram(ws: Workspace, name: str) -> tuple[WiringDiagram, tuple | None]
         return ws.diagrams[name], None
     if name in ws.terms or name in ws.predicates:
         term = flatten(_get_term(ws, name))
-        labels = tuple(
-            cell if isinstance(cell, str) else "term" for cell in term.cells
-        )
-        return term.diagram, labels
+        return term.diagram, term.cells
     raise DslError(f"unknown diagram or term {name!r}")
 
 
@@ -155,8 +152,8 @@ def cmd_contains(ws: Workspace, args) -> int:
 
 
 def cmd_minimize(ws: Workspace, args) -> int:
-    term = minimize_core(flatten(_get_term(ws, args.term)))
-    cells = [cell if isinstance(cell, str) else "term" for cell in term.cells]
+    term = minimize_core(_get_term(ws, args.term))
+    cells = list(term.cells)
     payload = {"cells": cells, "wiring": _wiring_dict(term.diagram)}
     text = f"cells: {', '.join(cells) if cells else '(none)'}\n"
     text += wiring_to_text(term.diagram)

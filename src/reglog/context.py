@@ -196,22 +196,16 @@ def pullback_cm(
     uf = UnionFind(n1 + n2)
     for j in range(f.cod.arity):
         uf.union(f.port_map[j], n1 + g.port_map[j])
-    classes = uf.classes()
-    index_of = {members[0]: k for k, members in enumerate(classes)}
-
-    def member_type(i: int) -> str:
-        return f.dom.port_types[i] if i < n1 else g.dom.port_types[i - n1]
-
+    roots = [uf.find(i) for i in range(n1 + n2)]
+    index_of = {root: k for k, root in enumerate(sorted(set(roots)))}
+    types = f.dom.port_types + g.dom.port_types
     apex = Context(
-        tuple(member_type(members[0]) for members in classes),
+        tuple(types[root] for root in index_of),
         _canon_support(f.dom.support + g.dom.support),
     )
-    p1 = ContextMorphism(
-        apex, f.dom, tuple(index_of[uf.find(i)] for i in range(n1))
-    )
-    p2 = ContextMorphism(
-        apex, g.dom, tuple(index_of[uf.find(n1 + i)] for i in range(n2))
-    )
+    ports = tuple(index_of[root] for root in roots)
+    p1 = ContextMorphism(apex, f.dom, ports[:n1])
+    p2 = ContextMorphism(apex, g.dom, ports[n1:])
     return apex, p1, p2
 
 

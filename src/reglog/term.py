@@ -2,8 +2,8 @@
 
 A cell is either a predicate name (a string, resolved against a signature or a
 model) or another graphical term whose outer shell matches the slot.  Nested
-terms are stored as trees; :func:`flatten` substitutes every nested diagram
-into its slot, producing a term whose cells are all predicate names.
+terms are stored as trees; :func:`flatten` glues every nested diagram into
+its slot in one pass, producing a term whose cells are all predicate names.
 """
 
 from __future__ import annotations
@@ -13,13 +13,8 @@ from typing import Mapping, Union
 
 from .context import Context
 from .errors import ValidationError
-from .wiring import (
-    WiringDiagram,
-    identity_wd,
-    normalize,
-    permute_outer_blocks,
-    substitute,
-)
+from .unionfind import UnionFind
+from .wiring import WiringDiagram, identity_wd, normalize, permute_outer_blocks
 
 Cell = Union[str, "GraphicalTerm"]
 
@@ -55,15 +50,6 @@ class GraphicalTerm:
 
     def is_flat(self) -> bool:
         return all(isinstance(c, str) for c in self.cells)
-
-    def predicate_names(self) -> frozenset[str]:
-        names: set[str] = set()
-        for cell in self.cells:
-            if isinstance(cell, str):
-                names.add(cell)
-            else:
-                names |= cell.predicate_names()
-        return frozenset(names)
 
 
 def mk_term(
@@ -101,20 +87,43 @@ def bare_term(name: str, signature: PredicateSignature) -> GraphicalTerm:
 
 
 def flatten(term: GraphicalTerm) -> GraphicalTerm:
-    """Substitute every nested diagram into its slot until all cells are names."""
-    diagram = term.diagram
-    cells: list[str] = []
-    slot = 0
-    for cell in term.cells:
+    """Substitute every nested diagram into its slot, all at once.
+
+    The dots of every level go into one list, each level at its own offset;
+    one union-find glues each nested outer shell onto the slot it fills, and
+    one ``normalize`` renumbers the dots.  The walk is pre-order with an
+    explicit stack, so leaf cells come out left to right at any depth.
+    """
+    dot_types: list[str] = []
+    support: list[str] = []
+    glue: list[tuple[int, int]] = []
+    leaves: list[tuple[str, Context, tuple[int, ...]]] = []
+    # (cell, the shell it fills, that shell's wires as global dots)
+    stack: list[tuple[Cell, Context | None, tuple[int, ...]]] = [(term, None, ())]
+    while stack:
+        cell, shell, row = stack.pop()
         if isinstance(cell, str):
-            cells.append(cell)
-            slot += 1
-        else:
-            sub = flatten(cell)
-            diagram = substitute(diagram, slot, sub.diagram)
-            cells.extend(sub.cells)
-            slot += len(sub.cells)
-    return GraphicalTerm(diagram, tuple(cells))
+            leaves.append((cell, shell, row))
+            continue
+        d = cell.diagram
+        base = len(dot_types)
+        dot_types += d.dot_types
+        support += d.support
+        glue += zip(row, (base + x for x in d.wires[-1]))
+        shifted = [tuple(base + x for x in r) for r in d.wires[:-1]]
+        stack += reversed(list(zip(cell.cells, d.inner, shifted)))
+    uf = UnionFind(len(dot_types))
+    for a, b in glue:
+        uf.union(a, b)
+    rows = [row for _, _, row in leaves] + [term.diagram.wires[-1]]
+    diagram = WiringDiagram(
+        tuple(shell for _, shell, _ in leaves),
+        term.outer,
+        tuple(dot_types),
+        tuple(support),
+        tuple(tuple(map(uf.find, row)) for row in rows),
+    )
+    return GraphicalTerm(normalize(diagram), tuple(c for c, _, _ in leaves))
 
 
 def true_term(c: Context) -> GraphicalTerm:

@@ -1,7 +1,9 @@
 """Minimal union-find over the integers 0..n-1.
 
-The representative of every class is its smallest member, which the callers
-rely on for deterministic renumbering.
+The representative of every class is its smallest member, so sorted roots
+list the classes by least member (``context.pullback_cm`` numbers its apex
+ports this way).  The wiring code maps rows through :meth:`find` and lets
+``normalize`` renumber the dots.
 """
 
 from __future__ import annotations
@@ -29,10 +31,3 @@ class UnionFind:
             ra, rb = rb, ra
         self._parent[rb] = ra
         return ra
-
-    def classes(self) -> list[list[int]]:
-        """All classes, each sorted, ordered by their smallest member."""
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self._parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return [groups[root] for root in sorted(groups)]

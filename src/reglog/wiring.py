@@ -10,8 +10,10 @@ Diagrams are kept in a normal form: dots are numbered by the first port that
 touches them, scanning inner shells in order and the outer shell last, and the
 support is sorted.  Equality of normal forms decides equality of the diagrams
 as relations, and the ordering ``leq_wd`` compares diagrams over the same
-boundary.  Substitution of a diagram into an inner shell merges dots with a
-union-find and is the engine behind all composition in the package.
+boundary.  Substitution plugs a diagram into one inner shell: it offsets the
+inside dots, merges dots along the vanished boundary with a union-find, and
+normalizes.  ``compose_wd`` is built on it; ``term.flatten`` glues a whole
+term tree the same way in one pass.
 """
 
 from __future__ import annotations
@@ -144,30 +146,20 @@ def substitute(w: WiringDiagram, slot: int, inside: WiringDiagram) -> WiringDiag
         )
     n_w = w.num_dots
     uf = UnionFind(n_w + inside.num_dots)
-    for p in range(w.inner[slot].arity):
-        uf.union(w.wires[slot][p], n_w + inside.wires[-1][p])
-    classes = uf.classes()
-    index_of = {members[0]: k for k, members in enumerate(classes)}
-
-    def cls(global_dot: int) -> int:
-        return index_of[uf.find(global_dot)]
-
-    all_types = w.dot_types + inside.dot_types
-    dot_types = tuple(all_types[members[0]] for members in classes)
-
-    new_inner = w.inner[:slot] + inside.inner + w.inner[slot + 1 :]
-    rows: list[tuple[int, ...]] = []
-    for s in range(w.num_slots):
-        if s == slot:
-            for i in range(inside.num_slots):
-                rows.append(tuple(cls(n_w + d) for d in inside.wires[i]))
-        else:
-            rows.append(tuple(cls(d) for d in w.wires[s]))
-    rows.append(tuple(cls(d) for d in w.wires[-1]))
-
+    for a, b in zip(w.wires[slot], inside.wires[-1]):
+        uf.union(a, n_w + b)
+    rows = (
+        *w.wires[:slot],
+        *(tuple(n_w + d for d in row) for row in inside.wires[:-1]),
+        *w.wires[slot + 1 :],
+    )
     return normalize(
         WiringDiagram(
-            new_inner, w.outer, dot_types, w.support + inside.support, tuple(rows)
+            w.inner[:slot] + inside.inner + w.inner[slot + 1 :],
+            w.outer,
+            w.dot_types + inside.dot_types,
+            w.support + inside.support,
+            tuple(tuple(map(uf.find, row)) for row in rows),
         )
     )
 

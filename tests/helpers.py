@@ -2,10 +2,11 @@
 
 Everything here is deliberately written without reusing the engine's internal
 machinery: the substitution oracle walks the port graph with a BFS instead of
-a union-find, the formula interpreter evaluates the printed first-order
-syntax, and the containment oracle enumerates small candidate countermodels
-(quotients of the left term's atom set) instead of trusting the frozen
-instance.  Keep these independent; the tests compare engine against oracle.
+a union-find, the flattening oracle applies it one slot at a time, the formula
+interpreter evaluates the printed first-order syntax, and the containment
+oracle enumerates small candidate countermodels (quotients of the left term's
+atom set) instead of trusting the frozen instance.  Keep these independent;
+the tests compare engine against oracle.
 """
 
 from __future__ import annotations
@@ -630,7 +631,7 @@ def eval_formula(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
 
 
 # ---------------------------------------------------------------------------
-# independent substitution oracle: BFS on the port graph
+# independent substitution oracle: BFS on the port graph, one slot at a time
 # ---------------------------------------------------------------------------
 
 
@@ -695,6 +696,22 @@ def oracle_substitute(
         support,
         tuple(tuple(order[c] for c in row) for row in raw_rows),
     )
+
+
+def oracle_flatten(term: GraphicalTerm) -> GraphicalTerm:
+    """Flatten slot by slot: flatten each nested cell recursively, then plug
+    it into its slot with :func:`oracle_substitute`.  Recursion depth grows
+    with the nesting, so keep the inputs shallow."""
+    diagram = term.diagram
+    cells: list[str] = []
+    for cell in term.cells:
+        if isinstance(cell, str):
+            cells.append(cell)
+        else:
+            sub = oracle_flatten(cell)
+            diagram = oracle_substitute(diagram, len(cells), sub.diagram)
+            cells.extend(sub.cells)
+    return GraphicalTerm(diagram, tuple(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,19 @@ domain y = {b0};
 data R { (a0, b0); (a1, b0); }
 """
 
+IDENTITY_WS = """\
+type x;
+pred E : (x, x);
+diagram id : ((x, x)) -> (x, x) {
+  dot a : x;
+  dot b : x;
+  wire in1.1 -> a;
+  wire in1.2 -> b;
+  wire out.1 -> a;
+  wire out.2 -> b;
+}
+"""
+
 
 def write_ws(tmp_path, text=BASIC, name="ws.rl"):
     path = tmp_path / name
@@ -407,6 +420,29 @@ class TestCli:
         code, out, _ = run_cli(capsys, path, "dot", "wtop")
         assert code == 0
         assert "supp {y}" in out
+
+    def test_deeply_nested_term(self, tmp_path, capsys):
+        # ``main`` is E inside ``depth`` identity diagrams, one term per level;
+        # every command flattens it, so any depth must print the same bytes.
+        def write_deep(depth):
+            names = [f"t{k}" for k in range(1, depth)] + ["main"]
+            terms = "".join(
+                f"term {name} = id({cell});\n"
+                for name, cell in zip(names, ["E", *names])
+            )
+            return write_ws(tmp_path, IDENTITY_WS + terms, f"deep{depth}.rl")
+
+        shallow, deep = write_deep(1), write_deep(2000)
+        for args in (
+            ("contains", "main", "main"),
+            ("formula", "main"),
+            ("normalize", "main"),
+            ("minimize", "main"),
+            ("dot", "main"),
+        ):
+            expected = run_cli(capsys, shallow, *args)
+            assert expected[0] == 0 and expected[1]
+            assert run_cli(capsys, deep, *args) == expected
 
     def test_axioms_and_fundamental(self, tmp_path, capsys):
         path = write_ws(tmp_path)

@@ -93,7 +93,7 @@ O1 = mk_syn_object(mk_context(("y",)), [("0",)])
 
 
 def rand_ir(rng: Random, dom: SynObject, cod: SynObject) -> InternalRelation:
-    space = [x + y for x in dom.predicate.tuples for y in cod.predicate.tuples]
+    space = [x + y for x in dom.sorted_rows for y in cod.sorted_rows]
     return mk_internal_relation(
         dom, cod, [row for row in space if rng.random() < 0.5]
     )
@@ -146,6 +146,33 @@ class TestObjects:
             [("1",)],
             [("0",), ("1",)],
         ]
+
+
+class TestRandomRelations:
+    def test_draws_ignore_the_hash_seed(self):
+        # A seeded test must check the same relations on every run, so
+        # rand_ir may not iterate a set of strings (its order follows
+        # PYTHONHASHSEED).
+        code = (
+            "from random import Random\n"
+            "from test_syncat import FULL_OBJECTS, rand_ir\n"
+            "rng = Random(601)\n"
+            "print([sorted(rand_ir(rng, a, b).rows)"
+            " for a in FULL_OBJECTS for b in FULL_OBJECTS])\n"
+        )
+        draws = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                cwd=ROOT / "tests",
+                env={**src_env(), "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert draws[0] and draws[0] == draws[1]
 
 
 class TestCategoryStructure:

@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 from reglog.context import mk_context, oplus, terminal_ctx
+from reglog.dsl import load_workspace
 from reglog.errors import ValidationError
 from reglog.term import (
     GraphicalTerm,
@@ -28,7 +29,17 @@ from reglog.term import (
 )
 from reglog.wiring import identity_wd, mk_wiring, substitute
 
-from helpers import SHELLS, SIGNATURE, rand_context, rand_term
+from helpers import (
+    ROOT,
+    SHELLS,
+    SIGNATURE,
+    oracle_flatten,
+    rand_context,
+    rand_term,
+)
+
+EDGE = mk_context(("x", "x"))
+EDGE_SIGNATURE = PredicateSignature(frozenset({"x"}), {"E": EDGE})
 
 
 class TestSignature:
@@ -95,7 +106,6 @@ class TestConstruction:
         assert t.diagram == identity_wd(SHELLS["Q"])
         assert t.cells == ("Q",)
         assert t.outer == SHELLS["Q"]
-        assert t.predicate_names() == frozenset({"Q"})
 
 
 class TestFlatten:
@@ -140,8 +150,39 @@ class TestFlatten:
             flat = flatten(t)
             assert flat.is_flat()
             assert flat.outer == t.outer
-            assert flat.predicate_names() == t.predicate_names()
+            assert flat.cells == oracle_flatten(t).cells
             assert flatten(flat) == flat
+
+    def test_matches_slot_by_slot_oracle(self):
+        rng = Random(307)
+        for depth in range(5):
+            for _ in range(200):
+                t = rand_term(rng, depth=depth)
+                assert flatten(t) == oracle_flatten(t)
+
+    def test_matches_oracle_on_corpus_terms(self):
+        checked = 0
+        for path in sorted((ROOT / "corpus").glob("*.rl")):
+            for t in load_workspace(path).terms.values():
+                assert flatten(t) == oracle_flatten(t)
+                checked += 1
+        assert checked >= 23
+
+    # Deep terms are compared only after flattening: dataclass == and hash
+    # on a nested term recurse once per level.
+    @pytest.mark.parametrize("depth", [500, 2000])
+    def test_identity_wrappers_vanish(self, depth):
+        t = bare_term("E", EDGE_SIGNATURE)
+        for _ in range(depth):
+            t = GraphicalTerm(identity_wd(EDGE), (t,))
+        assert flatten(t) == bare_term("E", EDGE_SIGNATURE)
+
+    def test_many_nested_cells_make_a_path(self):
+        n = 800
+        wires = [(i, i + 1) for i in range(n)] + [(0, n)]
+        path = mk_wiring([EDGE] * n, EDGE, ["x"] * (n + 1), wires)
+        t = GraphicalTerm(path, (bare_term("E", EDGE_SIGNATURE),) * n)
+        assert flatten(t) == GraphicalTerm(path, ("E",) * n)
 
 
 class TestFormula:
