@@ -6,11 +6,16 @@ The workspace file declares types, predicates, diagrams, terms, and data; a
 second file given with ``--model`` overlays extra domains and relation rows.
 Exit status is 0 when the queried property holds (or the command simply
 succeeds), 1 when it does not hold, and 2 on malformed input.
+
+The argparse tree is built once per process, on the first ``main`` call, and
+reused by every later call: ``parse_args`` returns a fresh namespace and
+leaves the parser unchanged, so no state carries from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,6 +199,7 @@ def cmd_fundamental(ws: Workspace, args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -291,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         ws = load_workspace(args.workspace)
         if args.model:

@@ -71,7 +71,11 @@ def canonical_instance(
 
 def contains(left: GraphicalTerm, right: GraphicalTerm) -> bool:
     """Does ``left`` entail ``right`` in every finite model?"""
-    left, right = flatten(left), flatten(right)
+    return _contains_flat(flatten(left), flatten(right))
+
+
+def _contains_flat(left: GraphicalTerm, right: GraphicalTerm) -> bool:
+    """``contains`` on two terms that are already flat and normalized."""
     if left.outer != right.outer:
         raise ValidationError("containment needs terms over the same outer shell")
     # canonical_instance checks the left term's shells against these.
@@ -100,8 +104,11 @@ def minimize_core(term: GraphicalTerm) -> GraphicalTerm:
     while changed:
         changed = False
         for slot in range(len(current.cells)):
+            # drop_cell returns a flat, normalized term: no need to flatten it.
             candidate = drop_cell(current, slot)
-            if contains(candidate, current) and contains(current, candidate):
+            if _contains_flat(candidate, current) and _contains_flat(
+                current, candidate
+            ):
                 current = candidate
                 changed = True
                 break

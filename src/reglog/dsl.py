@@ -36,7 +36,7 @@ import csv
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .context import Context, mk_context
 from .errors import DslError, ReglogError
@@ -73,37 +73,37 @@ _TOKEN = re.compile(
   | (?P<number>[0-9]+)
   | (?P<arrow>->)
   | (?P<punct>[(){},;:=.|])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with an ``eof`` token.
+
+    One ``finditer`` pass: the last alternative, ``bad``, matches any
+    character the language does not use, so the matches tile the text and
+    the first ``bad`` match raises with its line.
+    """
     tokens = []
     line = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise DslError(f"unexpected character {text[pos]!r}", line)
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "nl":
             line += 1
-            continue
-        if kind in ("ws", "comment"):
-            continue
-        value = m.group()
-        if kind == "string":
-            value = value[1:-1]
-        tokens.append(Token(kind, value, line))
+        elif kind == "bad":
+            raise DslError(f"unexpected character {m.group()!r}", line)
+        elif kind == "string":
+            tokens.append(Token(kind, m.group()[1:-1], line))
+        elif kind not in ("ws", "comment"):
+            tokens.append(Token(kind, m.group(), line))
     tokens.append(Token("eof", "", line))
     return tokens
 

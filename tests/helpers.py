@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without reusing the engine's internal
 machinery: the substitution oracle walks the port graph with a BFS instead of
-a union-find, the flattening oracle applies it one slot at a time, the formula
+a union-find, the flattening oracle applies it one slot at a time, the
+tokenizer oracle matches one anchored token at a time, the formula
 interpreter evaluates the printed first-order syntax, and the containment
 oracle enumerates small candidate countermodels (quotients of the left term's
 atom set) instead of trusting the frozen instance.  Keep these independent;
@@ -21,6 +22,7 @@ from random import Random
 from typing import Iterable, Iterator
 
 from reglog.context import Context, mk_context
+from reglog.errors import DslError
 from reglog.model import (
     FinRelation,
     ModelInstance,
@@ -712,6 +714,54 @@ def oracle_flatten(term: GraphicalTerm) -> GraphicalTerm:
             diagram = oracle_substitute(diagram, len(cells), sub.diagram)
             cells.extend(sub.cells)
     return GraphicalTerm(diagram, tuple(cells))
+
+
+# ---------------------------------------------------------------------------
+# independent tokenizer oracle: one anchored match at a time
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<nl>\n)
+  | (?P<string>"[^"\n]*")
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>[0-9]+)
+  | (?P<arrow>->)
+  | (?P<punct>[(){},;:=.|])
+    """,
+    re.VERBOSE,
+)
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The DSL's tokens as ``(kind, value, line)`` triples, ending with ``eof``.
+
+    The tokenizer ``reglog.dsl`` used before it became one ``finditer``
+    pass: match at the current position, and raise at the first position
+    where no alternative matches.
+    """
+    tokens = []
+    line = 1
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m:
+            raise DslError(f"unexpected character {text[pos]!r}", line)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "nl":
+            line += 1
+            continue
+        if kind in ("ws", "comment"):
+            continue
+        value = m.group()
+        if kind == "string":
+            value = value[1:-1]
+        tokens.append((kind, value, line))
+    tokens.append(("eof", "", line))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

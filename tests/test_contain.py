@@ -15,6 +15,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from reglog import contain
 from reglog.contain import (
     CanonicalInstance,
     canonical_instance,
@@ -23,6 +24,7 @@ from reglog.contain import (
     minimize_core,
 )
 from reglog.context import mk_context
+from reglog.dsl import load_workspace
 from reglog.errors import ValidationError
 from reglog.model import entails_in, eval_term, mk_model
 from reglog.term import (
@@ -36,6 +38,7 @@ from reglog.term import (
 from reglog.wiring import identity_wd, mk_wiring
 
 from helpers import (
+    ROOT,
     SHELLS,
     SIGNATURE,
     breaking_pair,
@@ -283,6 +286,21 @@ class TestMinimize:
     def test_exposed_ports_block_deletion(self):
         t = bare_term("R", SIGNATURE)
         assert minimize_core(t) == flatten(t)
+
+    def test_flattens_only_its_input(self, monkeypatch):
+        # Every candidate comes from drop_cell on a flat term, so the
+        # containment checks must not flatten again.
+        calls = []
+
+        def counting_flatten(term):
+            calls.append(term)
+            return flatten(term)
+
+        monkeypatch.setattr(contain, "flatten", counting_flatten)
+        ws = load_workspace(str(ROOT / "corpus" / "minimize_redundant.rl"))
+        core = minimize_core(ws.terms["main"])
+        assert len(calls) == 1
+        assert core.cells == ("E",)
 
     def test_random_cores_are_equivalent_fixed_points(self):
         rng = Random(509)

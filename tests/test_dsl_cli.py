@@ -1,22 +1,28 @@
 """Tests for the workspace language and the command line front end.
 
 The printer is checked to be a fixpoint of parse-then-print, parse errors
-carry line numbers, CSV ingestion detects headers, and every CLI subcommand
-is exercised through ``cli.main``.  The declared console script also runs as
-a real subprocess from the source tree on every run, and the installed
-``reglog`` executable is checked wherever it is on ``PATH``.  Exit codes
-follow the contract: 0 success/holds, 1 does not hold (or a failing report),
-2 malformed input.
+carry line numbers, the tokenizer agrees with an oracle, CSV ingestion
+detects headers, and every CLI subcommand is exercised through ``cli.main``,
+also on mutated corpus texts and in sequence on one cached parser.  The
+declared console script also runs as a real subprocess from the source tree
+on every run, and the installed ``reglog`` executable is checked wherever it
+is on ``PATH``.  Exit codes follow the contract: 0 success/holds, 1 does
+not hold (or a failing report), 2 malformed input.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 import shutil
 import subprocess
 import sys
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reglog import cli
 from reglog.context import mk_context
@@ -33,7 +39,9 @@ from reglog.model import eval_term
 from reglog.term import to_formula
 from reglog.wiring import mk_wiring, normalize
 
-from helpers import ROOT, run_console_script, src_env
+from helpers import ROOT, oracle_tokenize, run_console_script, src_env
+
+TEXTS = {p.name: p.read_text() for p in sorted((ROOT / "corpus").glob("*.rl"))}
 
 BASIC = """\
 type x, y;
@@ -96,6 +104,31 @@ class TestTokenizer:
             tokenize("type x;\n$")
         assert err.value.line == 2
         assert "line 2" in str(err.value)
+
+    def test_matches_the_oracle_on_the_corpus_and_mutations(self):
+        # Stray characters, tabs, carriage returns, lone quotes (unterminated
+        # strings) and non-ASCII text, inserted at seeded positions.
+        def lex(tokenizer, text):
+            try:
+                return [tuple(tok) for tok in tokenizer(text)]
+            except DslError as err:
+                return str(err), err.line
+
+        inserts = ("$", "\t", "\r", "\r\n", '"', '"\n', "é", "λ", "\u00a0", "→")
+        rng = Random(811)
+        errors = 0
+        for text in TEXTS.values():
+            assert lex(tokenize, text) == lex(oracle_tokenize, text)
+            for _ in range(60):
+                mutated = text
+                for _ in range(rng.randint(1, 3)):
+                    at = rng.randrange(len(mutated) + 1)
+                    mutated = mutated[:at] + rng.choice(inserts) + mutated[at:]
+                expected = lex(oracle_tokenize, mutated)
+                assert lex(tokenize, mutated) == expected, mutated
+                errors += isinstance(expected, tuple)
+        # Most mutations must reach the error path, or it goes unchecked.
+        assert errors > len(TEXTS) * 30
 
 
 class TestParser:
@@ -482,6 +515,50 @@ class TestCli:
         assert code == 2
         assert "line 2: port 1 of shell (x) has type x but dot 2 has type y" in err
 
+    def test_parser_is_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import reglog.cli as c; print(c.build_parser.cache_info().misses)"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+    def test_reused_parser_carries_no_state_between_calls(self, tmp_path, capsys):
+        # Each good call in the sequence prints the bytes a fresh process
+        # prints, whatever ran before it in this process.
+        path = write_ws(tmp_path)
+        overlay = write_ws(
+            tmp_path,
+            "type x, y;\npred R : (x, y);\ndomain x = {a2};\n"
+            "domain y = {b0};\ndata R { (a2, b0); }\n",
+            name="extra.rl",
+        )
+        fresh = {}
+
+        def good(*args):
+            if args not in fresh:
+                proc = run_console_script(path, *args, capture_output=True)
+                fresh[args] = (proc.returncode, proc.stdout)
+            code, out, _ = run_cli(capsys, path, *args)
+            assert (code, out.encode()) == fresh[args]
+
+        good("eval", "t", "--json")
+        good("eval", "t")
+        good("eval", "r", "--model", overlay)
+        good("eval", "r")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([path, "eval", "--json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: reglog")
+        good("eval", "t")
+        good("contains", "top", "t")
+        assert fresh[("eval", "r")] != fresh[("eval", "r", "--model", overlay)]
+        assert fresh[("contains", "top", "t")][0] == 1
+
     def test_console_script_subprocess(self, tmp_path):
         path = write_ws(tmp_path)
         proc = run_console_script(path, "eval", "r", capture_output=True, text=True)
@@ -520,3 +597,53 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout == "41 expectations checked, 0 stale\n"
+
+
+# Manifest invocations on mutated corpus texts: whole lines or single words
+# deleted, copied elsewhere, or swapped.  Whatever the text, the CLI answers
+# with an exit code of the contract and lets no exception escape.
+
+MANIFEST = json.loads((ROOT / "corpus" / "manifest.json").read_text())
+PARTS = (re.compile(r"[^\n]*\n|[^\n]+"), re.compile(r"\w+|\s+|."))
+# 1,000 examples of 3 runs each: 3,000 runs, with a third of the per-example
+# overhead of hypothesis.
+FUZZ_EXAMPLES = 1000
+RUNS_PER_EXAMPLE = 3
+
+
+def mutate(rng: Random, text: str) -> str:
+    pieces = rng.choice(PARTS).findall(text)
+    for _ in range(rng.randint(1, 4)):
+        if not pieces:
+            break
+        i, j = rng.randrange(len(pieces)), rng.randrange(len(pieces))
+        op = rng.choice(("delete", "insert", "swap"))
+        if op == "delete":
+            del pieces[i]
+        elif op == "insert":
+            pieces.insert(i, pieces[j])
+        else:
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+    return "".join(pieces)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(ROOT / "corpus" / "data", path / "data")
+    return path
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(st.integers(0, 10**9))
+def test_corpus_mutations_keep_the_exit_code_contract(fuzz_dir, seed):
+    rng = Random(seed)
+    for _ in range(RUNS_PER_EXAMPLE):
+        entry = rng.choice(MANIFEST)
+        text = mutate(rng, TEXTS[entry["file"]])
+        path = fuzz_dir / entry["file"]
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(path), *entry["args"]])
+        assert code in (0, 1, 2), (text, code)
