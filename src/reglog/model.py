@@ -7,9 +7,13 @@ that land every cell's ports inside the cell's relation, and read off the
 outer ports.  A term whose support mentions a type with an empty domain
 evaluates to the empty relation outright.
 
-The evaluator here is a plain backtracking search that binds cells in order of
-ascending relation size.  A deliberately separate brute-force evaluator lives
-in :mod:`reglog.naive` and is used to cross-check this one; keep the two
+The evaluator flattens a nested term first, then builds a join plan once per
+call: cells in order of ascending relation size, each cell's tuples hashed by
+the positions whose dots earlier cells bind, so every step probes an index
+instead of scanning the relation.  The plan runs as a loop over an explicit
+stack, so neither the number of cells nor the nesting depth is bounded by the
+interpreter's recursion limit.  A deliberately separate brute-force evaluator
+lives in :mod:`reglog.naive` and is used to cross-check this one; keep the two
 implementations independent.
 
 Everything is immutable, so evaluation of many terms against many models can
@@ -24,7 +28,7 @@ from typing import Iterable, Mapping
 
 from .context import Context, ContextMorphism, oplus
 from .errors import EvalError, ValidationError
-from .term import GraphicalTerm
+from .term import GraphicalTerm, flatten
 
 
 @dataclass(frozen=True)
@@ -132,28 +136,66 @@ def meet_rel(left: FinRelation, right: FinRelation) -> FinRelation:
     return FinRelation(left.context, left.tuples & right.tuples)
 
 
-def _cell_relation(
-    cell: str | GraphicalTerm, shell: Context, model: ModelInstance
-) -> FinRelation:
-    if isinstance(cell, str):
-        rel = model.relation(cell)
-        if rel.context != shell:
-            raise EvalError(
-                f"predicate {cell} has context {rel.context} in the model but "
-                f"fills a slot of shape {shell}"
-            )
-        return rel
-    return eval_term(cell, model)
+def _cell_relation(cell: str, shell: Context, model: ModelInstance) -> FinRelation:
+    rel = model.relation(cell)
+    if rel.context != shell:
+        raise EvalError(
+            f"predicate {cell} has context {rel.context} in the model but "
+            f"fills a slot of shape {shell}"
+        )
+    return rel
+
+
+def _check_leaves(term: GraphicalTerm, model: ModelInstance) -> None:
+    """Raise the error that evaluating ``term`` level by level would raise.
+
+    Leaves are checked in pre-order, and a level whose own support has a type
+    with an empty domain is skipped with everything below it, because
+    evaluating that level returns the empty relation before it looks at its
+    cells.
+    """
+    stack: list[tuple[str | GraphicalTerm, Context | None]] = [(term, None)]
+    while stack:
+        cell, shell = stack.pop()
+        if isinstance(cell, str):
+            _cell_relation(cell, shell, model)
+        elif all(model.domain(s) for s in cell.diagram.support):
+            stack += reversed(list(zip(cell.cells, cell.diagram.inner)))
+
+
+def _index(
+    tuples: frozenset[tuple[str, ...]],
+    first: list[int],
+    key_pos: tuple[int, ...],
+    new_pos: tuple[int, ...],
+) -> dict[tuple[str, ...], list[tuple[str, ...]]]:
+    """Hash the tuples that agree wherever the row repeats a dot, by their
+    atoms at ``key_pos``, keeping their atoms at ``new_pos``."""
+    repeats = [(p, q) for p, q in enumerate(first) if p != q]
+    index: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for tup in tuples:
+        if not repeats or all(tup[p] == tup[q] for p, q in repeats):
+            key = tuple([tup[p] for p in key_pos])
+            index.setdefault(key, []).append(tuple([tup[p] for p in new_pos]))
+    return index
 
 
 def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
     """Evaluate a term against a model.
 
-    Nested cells are evaluated recursively.  Cells are then bound one at a
-    time, smallest relation first, by scanning their tuples against the
-    partial dot assignment; dots touched by no cell are enumerated from their
-    domains at the end.
+    A nested term is flattened first, after its leaves are checked in the
+    order a level-by-level evaluation would meet them.  The plan binds cells
+    smallest relation first, ties by slot.  For each cell it works out which
+    positions meet dots bound by earlier cells (the probe key), which dots it
+    binds, and which positions repeat one of those; the cell's tuples are
+    hashed once by the key positions, and cells with the same predicate and
+    pattern share one index.  Loose dots that the outer row reads come last,
+    each as a step that holds its whole domain.  The plan then runs as a
+    depth-first loop over an explicit stack of probe results.
     """
+    if not term.is_flat():
+        _check_leaves(term, model)
+        term = flatten(term)
     d = term.diagram
     if any(not model.domain(s) for s in d.support):
         return empty_relation(d.outer)
@@ -161,43 +203,53 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
         _cell_relation(cell, shell, model)
         for cell, shell in zip(term.cells, d.inner)
     ]
-    order = sorted(range(len(rels)), key=lambda i: len(rels[i]))
-    assignment: dict[int, str] = {}
-    out_row = d.wires[-1]
-    results: set[tuple[str, ...]] = set()
-
-    def finish():
-        loose = [i for i in range(d.num_dots) if i not in assignment]
-        pools = [model.domain(d.dot_types[i]) for i in loose]
-        for combo in itertools.product(*pools):
-            assignment.update(zip(loose, combo))
-            results.add(tuple(assignment[i] for i in out_row))
-        for i in loose:
-            assignment.pop(i, None)
-
-    def bind(k: int):
-        if k == len(order):
-            finish()
-            return
-        slot = order[k]
+    bound = [False] * d.num_dots
+    indexes: dict[tuple, dict] = {}
+    # One step per cell, then one per loose outer dot: the index it probes,
+    # the probe key read off the bound dots, and the dots it binds.
+    steps: list[tuple[dict, tuple[int, ...], tuple[int, ...]]] = []
+    for slot in sorted(range(len(rels)), key=lambda i: len(rels[i])):
         row = d.wires[slot]
-        for tup in rels[slot].tuples:
-            added: list[int] = []
-            ok = True
-            for dot, atom in zip(row, tup):
-                if dot in assignment:
-                    if assignment[dot] != atom:
-                        ok = False
-                        break
-                else:
-                    assignment[dot] = atom
-                    added.append(dot)
-            if ok:
-                bind(k + 1)
-            for dot in added:
-                del assignment[dot]
+        seen: dict[int, int] = {}
+        first = [seen.setdefault(dot, p) for p, dot in enumerate(row)]
+        key_pos = tuple(p for dot, p in seen.items() if bound[dot])
+        new_pos = tuple(p for dot, p in seen.items() if not bound[dot])
+        shape = (term.cells[slot], tuple(first), key_pos)
+        if shape not in indexes:
+            indexes[shape] = _index(rels[slot].tuples, first, key_pos, new_pos)
+        new_dots = tuple(row[p] for p in new_pos)
+        steps.append((indexes[shape], tuple(row[p] for p in key_pos), new_dots))
+        for dot in new_dots:
+            bound[dot] = True
+    out_row = d.wires[-1]
+    for dot in dict.fromkeys(out_row):
+        if not bound[dot]:
+            pool = [(atom,) for atom in model.domain(d.dot_types[dot])]
+            steps.append(({(): pool}, (), (dot,)))
 
-    bind(0)
+    if not steps:
+        return FinRelation(d.outer, frozenset({()}))
+    value: list[str | None] = [None] * d.num_dots
+    results: set[tuple[str, ...]] = set()
+    last = len(steps) - 1
+    # its[k] iterates the entries step k may bind under steps 0..k-1.
+    its = [iter(())] * len(steps)
+    its[0] = iter(steps[0][0].get((), ()))
+    k = 0
+    while k >= 0:
+        new_dots = steps[k][2]
+        for entry in its[k]:
+            for dot, atom in zip(new_dots, entry):
+                value[dot] = atom
+            if k == last:
+                results.add(tuple([value[i] for i in out_row]))
+            else:
+                k += 1
+                index, key, _ = steps[k]
+                its[k] = iter(index.get(tuple([value[i] for i in key]), ()))
+                break
+        else:
+            k -= 1
     return FinRelation(d.outer, frozenset(results))
 
 

@@ -3,11 +3,12 @@
 The printer is checked to be a fixpoint of parse-then-print, parse errors
 carry line numbers, the tokenizer agrees with an oracle, CSV ingestion
 detects headers, and every CLI subcommand is exercised through ``cli.main``,
-also on mutated corpus texts and in sequence on one cached parser.  The
-declared console script also runs as a real subprocess from the source tree
-on every run, and the installed ``reglog`` executable is checked wherever it
-is on ``PATH``.  Exit codes follow the contract: 0 success/holds, 1 does
-not hold (or a failing report), 2 malformed input.
+also on mutated corpus texts, on generated long paths and deep nestings, and
+in sequence on one cached parser.  The declared console script also runs as
+a real subprocess from the source tree on every run, and the installed
+``reglog`` executable is checked wherever it is on ``PATH``.  Exit codes
+follow the contract: 0 success/holds, 1 does not hold (or a failing report),
+2 malformed input.
 """
 
 from __future__ import annotations
@@ -80,6 +81,34 @@ diagram id : ((x, x)) -> (x, x) {
   wire out.2 -> b;
 }
 """
+
+
+def nested_ws(depth: int) -> str:
+    """``main`` is E inside ``depth`` identity diagrams, one term per level."""
+    names = [f"t{k}" for k in range(1, depth)] + ["main"]
+    terms = "".join(
+        f"term {name} = id({cell});\n" for name, cell in zip(names, ["E", *names])
+    )
+    return IDENTITY_WS + terms + "domain x = {0, 1, 2};\ndata E { (0, 1); (1, 2); }\n"
+
+
+def path_ws(cells: int, atoms: int) -> str:
+    """``main`` is a path of ``cells`` E cells in one flat diagram, over the
+    directed cycle on ``atoms`` atoms."""
+    dots = "".join(f"  dot d{i} : x;\n" for i in range(cells + 1))
+    wires = "".join(
+        f"  wire in{i + 1}.1 -> d{i};\n  wire in{i + 1}.2 -> d{i + 1};\n"
+        for i in range(cells)
+    )
+    edges = " ".join(f"({i}, {(i + 1) % atoms});" for i in range(atoms))
+    return (
+        "type x;\npred E : (x, x);\n"
+        f"diagram path : ({', '.join(['(x, x)'] * cells)}) -> (x, x) {{\n"
+        f"{dots}{wires}  wire out.1 -> d0;\n  wire out.2 -> d{cells};\n}}\n"
+        f"term main = path({', '.join(['E'] * cells)});\n"
+        f"domain x = {{{', '.join(map(str, range(atoms)))}}};\n"
+        f"data E {{ {edges} }}\n"
+    )
 
 
 def write_ws(tmp_path, text=BASIC, name="ws.rl"):
@@ -457,16 +486,11 @@ class TestCli:
     def test_deeply_nested_term(self, tmp_path, capsys):
         # ``main`` is E inside ``depth`` identity diagrams, one term per level;
         # every command flattens it, so any depth must print the same bytes.
-        def write_deep(depth):
-            names = [f"t{k}" for k in range(1, depth)] + ["main"]
-            terms = "".join(
-                f"term {name} = id({cell});\n"
-                for name, cell in zip(names, ["E", *names])
-            )
-            return write_ws(tmp_path, IDENTITY_WS + terms, f"deep{depth}.rl")
-
-        shallow, deep = write_deep(1), write_deep(2000)
+        shallow = write_ws(tmp_path, nested_ws(1), "deep1.rl")
+        deep = write_ws(tmp_path, nested_ws(2000), "deep2000.rl")
         for args in (
+            ("eval", "main"),
+            ("entail", "main", "main"),
             ("contains", "main", "main"),
             ("formula", "main"),
             ("normalize", "main"),
@@ -476,6 +500,15 @@ class TestCli:
             expected = run_cli(capsys, shallow, *args)
             assert expected[0] == 0 and expected[1]
             assert run_cli(capsys, deep, *args) == expected
+
+    def test_long_flat_path(self, tmp_path, capsys):
+        # 1,200 cells in one diagram; on the 7-cycle a path of k steps is
+        # {(i, i+k mod 7)}, and k = 1,200 is 3 mod 7.
+        path = write_ws(tmp_path, path_ws(1200, 7), "path1200.rl")
+        code, out, err = run_cli(capsys, path, "eval", "main")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"{i}, {(i + 3) % 7}" for i in range(7)]
+        assert run_cli(capsys, path, "contains", "main", "main") == (0, "holds\n", "")
 
     def test_axioms_and_fundamental(self, tmp_path, capsys):
         path = write_ws(tmp_path)
@@ -609,6 +642,18 @@ PARTS = (re.compile(r"[^\n]*\n|[^\n]+"), re.compile(r"\w+|\s+|."))
 # overhead of hypothesis.
 FUZZ_EXAMPLES = 1000
 RUNS_PER_EXAMPLE = 3
+# Generated inputs past the interpreter's recursion limit: a flat 1,100-cell
+# path and a term nested 600 deep.  A run on the path costs up to 70 ms, so
+# only one run in LARGE_SHARE draws from these: 24 of the 3,000, under 1 s.
+LARGE = {"long_path.rl": path_ws(1100, 3), "deep_nesting.rl": nested_ws(600)}
+LARGE_MANIFEST = [
+    {"file": "long_path.rl", "args": ["eval", "main"]},
+    {"file": "long_path.rl", "args": ["entail", "main", "main"]},
+    {"file": "deep_nesting.rl", "args": ["eval", "main"]},
+    {"file": "deep_nesting.rl", "args": ["entail", "main", "main"]},
+    {"file": "deep_nesting.rl", "args": ["contains", "main", "main"]},
+]
+LARGE_SHARE = 120
 
 
 def mutate(rng: Random, text: str) -> str:
@@ -639,8 +684,12 @@ def fuzz_dir(tmp_path_factory):
 def test_corpus_mutations_keep_the_exit_code_contract(fuzz_dir, seed):
     rng = Random(seed)
     for _ in range(RUNS_PER_EXAMPLE):
-        entry = rng.choice(MANIFEST)
-        text = mutate(rng, TEXTS[entry["file"]])
+        if rng.randrange(LARGE_SHARE):
+            entry = rng.choice(MANIFEST)
+            text = mutate(rng, TEXTS[entry["file"]])
+        else:
+            entry = rng.choice(LARGE_MANIFEST)
+            text = mutate(rng, LARGE[entry["file"]])
         path = fuzz_dir / entry["file"]
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()

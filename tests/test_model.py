@@ -1,8 +1,8 @@
 """Tests for finite models and term evaluation.
 
-Evaluation runs through three independent routes (the engine's backtracking
-binder, an exhaustive assignment enumerator, and an interpreter for the
-printed formula) that must agree.  The structural laws: flattening preserves
+Evaluation runs through three independent routes (the engine's indexed join
+plan, an exhaustive assignment enumerator, and an interpreter for the printed
+formula) that must agree.  The structural laws: flattening preserves
 values, growing the model or dropping a cell can only grow the value, merging
 dots can only shrink it, the no-cell term is the full relation, meets are
 intersections, and image/preimage along context maps form an adjunction
@@ -11,11 +11,13 @@ satisfying Frobenius reciprocity and base change.
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from reglog.contain import contains
 from reglog.context import identity_cm, mk_context, mk_morphism, oplus, pullback_cm
 from reglog.errors import EvalError, ValidationError
 from reglog.model import (
@@ -34,7 +36,7 @@ from reglog.model import (
     true_rel,
 )
 from reglog.naive import eval_term_naive
-from reglog.term import GraphicalTerm, bare_term, mk_term, true_term
+from reglog.term import GraphicalTerm, bare_term, flatten, mk_term, true_term
 from reglog.wiring import mk_wiring, tensor
 
 from helpers import (
@@ -47,6 +49,7 @@ from helpers import (
     rand_flat_term,
     rand_model,
     rand_morphism_pair,
+    rand_term,
     semantics_law_sweep,
 )
 
@@ -290,3 +293,91 @@ class TestAgreementOnFixtures:
             engine = eval_term(t, m)
             assert engine == eval_term_naive(t, m)
             assert engine == eval_formula(t, m)
+
+
+def cycle_term(n: int, exit_dot: int) -> GraphicalTerm:
+    """E(v0,v1) ∧ ... ∧ E(v(n-1),v0), exposing ``v0`` and ``v(exit_dot)``."""
+    shell = mk_context(("x", "x"))
+    rows = [(i, (i + 1) % n) for i in range(n)]
+    w = mk_wiring([shell] * n, shell, ("x",) * n, (*rows, (0, exit_dot)))
+    return GraphicalTerm(w, ("E",) * n)
+
+
+def plan_features(term: GraphicalTerm, model: ModelInstance) -> set[str]:
+    """The cases the join plan treats apart that a term and model reach."""
+    flat = flatten(term)
+    d = flat.diagram
+    if any(not model.domain(s) for s in d.support):
+        return {"empty supported domain"}
+    rows, out = d.wires[:-1], d.wires[-1]
+    sizes = [len(model.relation(c)) for c in flat.cells]
+    plan = [rows[i] for i in sorted(range(len(rows)), key=sizes.__getitem__)]
+    touched = {dot for row in rows for dot in row}
+    cases = {
+        "nested": not term.is_flat(),
+        "dot repeated in a cell": any(len(set(r)) < len(r) for r in rows),
+        "repeated outer dot": len(set(out)) < len(out),
+        "outer dot in no cell": bool(set(out) - touched),
+        "white label": bool(d.white_labels()),
+        "empty relation": 0 in sizes,
+        "no cells": not rows,
+        "equal sizes": len(set(sizes)) < len(sizes),
+        "probe on two dots": any(
+            len(set(r) & set().union(*plan[:k])) >= 2 for k, r in enumerate(plan)
+        ),
+    }
+    return {case for case, hit in cases.items() if hit}
+
+
+class TestJoinPlan:
+    def test_agrees_with_naive_on_seeded_terms(self):
+        # Flat and nested terms over few dots, so cells repeat dots and
+        # predicates, and models with empty domains and empty relations;
+        # every case the plan treats apart must come up.
+        rng = Random(409)
+        reached: Counter[str] = Counter()
+        checked = 0
+        while checked < 600:
+            if rng.random() < 0.5:
+                term = rand_flat_term(rng, max_cells=5)
+            else:
+                term = rand_term(rng, depth=2, max_cells=3)
+            if flatten(term).diagram.num_dots > 5:
+                continue
+            model = rand_model(rng, max_atoms=4, density=rng.choice((0.3, 0.7)))
+            assert eval_term(term, model) == eval_term_naive(term, model)
+            reached.update(plan_features(term, model))
+            checked += 1
+        assert len(reached) == 10 and min(reached.values()) >= 10, reached
+
+    def test_nested_errors_match_level_by_level_evaluation(self):
+        # (id-with-white-y(P), Q) with y empty and Q missing: the nested cell
+        # is empty on its own, so the error comes from Q; a missing predicate
+        # inside that cell is never looked at.
+        x = mk_context(("x",))
+        inner = mk_wiring((x,), x, ("x",), ((0,), (0,)), extra_support=("y",))
+        outer = mk_wiring((x, x), x, ("x",), ((0,), (0,), (0,)))
+        model = mk_model({"x": ("a",)}, {"P": x, "U": x}, {"P": [("a",)]})
+
+        def meet(first: str, second: str) -> GraphicalTerm:
+            return GraphicalTerm(outer, (GraphicalTerm(inner, (first,)), second))
+
+        for evaluate in (eval_term, eval_term_naive):
+            with pytest.raises(EvalError, match="unknown predicate Q"):
+                evaluate(meet("P", "Q"), model)
+            assert evaluate(meet("Missing", "U"), model) == empty_relation(x)
+
+    def test_long_path_on_a_cycle_closed_form(self):
+        # A path of k = 5,003 cells on the directed n-cycle is {(i, i+k mod n)}.
+        n, k = 5, 5003
+        atoms = tuple(str(i) for i in range(n))
+        edges = [(atoms[i], atoms[(i + 1) % n]) for i in range(n)]
+        model = mk_model({"x": atoms}, {"E": mk_context(("x", "x"))}, {"E": edges})
+        path = path_term(k)
+        assert eval_term(path, model).tuples == {
+            (atoms[i], atoms[(i + k) % n]) for i in range(n)
+        }
+        # The canonical instance of the n-cycle term is the n-cycle itself,
+        # so that term entails the path exactly when it exposes v(k mod n).
+        holds = [j for j in range(n) if contains(cycle_term(n, j), path)]
+        assert holds == [k % n]
