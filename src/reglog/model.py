@@ -10,20 +10,24 @@ evaluates to the empty relation outright.
 The evaluator flattens a nested term first, then builds a join plan once per
 call: cells in order of ascending relation size, each cell's tuples hashed by
 the positions whose dots earlier cells bind, so every step probes an index
-instead of scanning the relation.  The plan runs as a loop over an explicit
-stack, so neither the number of cells nor the nesting depth is bounded by the
-interpreter's recursion limit.  A deliberately separate brute-force evaluator
-lives in :mod:`reglog.naive` and is used to cross-check this one; keep the two
-implementations independent.
+instead of scanning the relation.  The indexes are built once per model, per
+predicate and pattern, and kept on the model, so many queries on one model
+hash each relation only once per way they probe it.  The plan runs as a loop
+over an explicit stack, so neither the number of cells nor the nesting depth
+is bounded by the interpreter's recursion limit.  A deliberately separate
+brute-force evaluator lives in :mod:`reglog.naive` and is used to cross-check
+this one; keep the two implementations independent.
 
-Everything is immutable, so evaluation of many terms against many models can
-be fanned out safely.
+Models and relations are never changed after construction, and a model's
+index cache holds only data derived from its relations, so evaluation of many
+terms against many models can be fanned out safely: a race at worst builds an
+equal index twice.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .context import Context, ContextMorphism, oplus
@@ -76,6 +80,11 @@ class ModelInstance:
 
     domains: Mapping[str, tuple[str, ...]]
     relations: Mapping[str, FinRelation]
+    # eval_term's probe indexes, by (predicate, repeat pattern, key
+    # positions); derived from ``relations`` alone, which never change.
+    _indexes: dict[tuple, dict] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def domain(self, t: str) -> tuple[str, ...]:
         return self.domains.get(t, ())
@@ -188,10 +197,12 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
     smallest relation first, ties by slot.  For each cell it works out which
     positions meet dots bound by earlier cells (the probe key), which dots it
     binds, and which positions repeat one of those; the cell's tuples are
-    hashed once by the key positions, and cells with the same predicate and
-    pattern share one index.  Loose dots that the outer row reads come last,
-    each as a step that holds its whole domain.  The plan then runs as a
-    depth-first loop over an explicit stack of probe results.
+    hashed by the key positions once per model, and every cell with the same
+    predicate and pattern, in this call or a later one, reuses that index.
+    Each cell's shell is still checked on every call.  Loose dots that the
+    outer row reads come last, each as a step that holds its whole domain.
+    The plan then runs as a depth-first loop over an explicit stack of probe
+    results.
     """
     if not term.is_flat():
         _check_leaves(term, model)
@@ -204,7 +215,7 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
         for cell, shell in zip(term.cells, d.inner)
     ]
     bound = [False] * d.num_dots
-    indexes: dict[tuple, dict] = {}
+    indexes = model._indexes
     # One step per cell, then one per loose outer dot: the index it probes,
     # the probe key read off the bound dots, and the dots it binds.
     steps: list[tuple[dict, tuple[int, ...], tuple[int, ...]]] = []

@@ -32,11 +32,15 @@ def eval_term_naive(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
         else:
             cell_rows.append(eval_term_naive(cell, model).tuples)
     pools = [model.domain(t) for t in d.dot_types]
+    checks = list(zip(d.wires, cell_rows))
+    out_row = d.wires[-1]
     found = set()
+    # Every assignment is tried; the cells are checked in slot order, and
+    # the first cell the assignment misses rejects it.
     for assignment in itertools.product(*pools):
-        if all(
-            tuple(assignment[dot] for dot in row) in rows
-            for row, rows in zip(d.wires, cell_rows)
-        ):
-            found.add(tuple(assignment[dot] for dot in d.wires[-1]))
+        for row, rows in checks:
+            if tuple([assignment[dot] for dot in row]) not in rows:
+                break
+        else:
+            found.add(tuple([assignment[dot] for dot in out_row]))
     return FinRelation(d.outer, frozenset(found))

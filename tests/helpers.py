@@ -74,29 +74,37 @@ def all_contexts(types, max_arity) -> list[Context]:
 
 
 def pullback_up_sweep(types, max_arity) -> tuple[int, int]:
-    """Exhaustively verify the pullback universal property.
+    """Exhaustively verify the pullback universal property, by counting.
 
-    For every cospan between contexts over ``types`` with arities up to
-    ``max_arity``: the square commutes, and every commuting cone (from every
-    context in the same family) factors through the apex via exactly one
-    mediating morphism.  Returns the number of cospans and cones checked.
-    """
+    For every cospan f: a -> c, g: b -> c over ``types`` with arities up to
+    ``max_arity`` the square commutes, so each m: z -> apex gives a cone
+    (m;p1, m;p2).  For every z these are distinct and as many as all cones,
+    sum over v of |{q1 : q1;f = v}| * |{q2 : q2;g = v}|: each cone has one
+    mediator.  Returns the numbers of cospans and cones."""
     from reglog.context import compose_cm, enumerate_morphisms, pullback_cm
 
     ctxs = all_contexts(types, max_arity)
     homs: dict[tuple[Context, Context], list] = {}
+    fibres: dict = {}  # f -> for each z: v -> |{q: z -> dom f, q;f = v}|
 
     def hom(dom, cod):
-        key = (dom, cod)
-        if key not in homs:
-            homs[key] = list(enumerate_morphisms(dom, cod))
-        return homs[key]
+        if (dom, cod) not in homs:
+            homs[dom, cod] = list(enumerate_morphisms(dom, cod))
+        return homs[dom, cod]
 
-    # Composites in the inner loops are pure port-map arithmetic: composing
-    # u: P -> Q with v: Q -> R gives port map i |-> u[v[i]], and morphisms
+    # u: P -> Q then v: Q -> R has port map i |-> u[v[i]], and morphisms
     # with fixed boundaries are equal exactly when their port maps are.
     def comp(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(u[j] for j in v)
+
+    def fibre_sizes(f) -> list[dict]:
+        if f not in fibres:
+            fibres[f] = [{} for _ in ctxs]
+            for z, sizes in zip(ctxs, fibres[f]):
+                for q in hom(z, f.dom):
+                    v = comp(q.port_map, f.port_map)
+                    sizes[v] = sizes.get(v, 0) + 1
+        return fibres[f]
 
     cospans = cones = 0
     for c in ctxs:
@@ -107,21 +115,13 @@ def pullback_up_sweep(types, max_arity) -> tuple[int, int]:
                         cospans += 1
                         apex, p1, p2 = pullback_cm(f, g)
                         assert compose_cm(p1, f) == compose_cm(p2, g)
-                        fm, gm = f.port_map, g.port_map
                         p1m, p2m = p1.port_map, p2.port_map
-                        for z in ctxs:
-                            mediates = {}
-                            for m in hom(z, apex):
-                                key = (comp(m.port_map, p1m), comp(m.port_map, p2m))
-                                mediates[key] = mediates.get(key, 0) + 1
-                            for q1 in hom(z, a):
-                                q1f = comp(q1.port_map, fm)
-                                for q2 in hom(z, b):
-                                    if q1f != comp(q2.port_map, gm):
-                                        continue
-                                    cones += 1
-                                    key = (q1.port_map, q2.port_map)
-                                    assert mediates.get(key) == 1, (f, g, q1, q2)
+                        for z, by_f, by_g in zip(ctxs, fibre_sizes(f), fibre_sizes(g)):
+                            ms = [m.port_map for m in hom(z, apex)]
+                            keys = {(comp(m, p1m), comp(m, p2m)) for m in ms}
+                            count = sum(n * by_g.get(v, 0) for v, n in by_f.items())
+                            assert len(keys) == len(ms) == count, (f, g, z)
+                            cones += count
     return cospans, cones
 
 

@@ -11,6 +11,7 @@ satisfying Frobenius reciprocity and base change.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from random import Random
 
@@ -329,25 +330,30 @@ def plan_features(term: GraphicalTerm, model: ModelInstance) -> set[str]:
     return {case for case, hit in cases.items() if hit}
 
 
+def join_plan_cases(count: int = 600):
+    """Seeded (term, model) pairs: flat and nested terms over few dots, so
+    cells repeat dots and predicates, and models with empty domains and
+    empty relations."""
+    rng = Random(409)
+    checked = 0
+    while checked < count:
+        if rng.random() < 0.5:
+            term = rand_flat_term(rng, max_cells=5)
+        else:
+            term = rand_term(rng, depth=2, max_cells=3)
+        if flatten(term).diagram.num_dots > 5:
+            continue
+        yield term, rand_model(rng, max_atoms=4, density=rng.choice((0.3, 0.7)))
+        checked += 1
+
+
 class TestJoinPlan:
     def test_agrees_with_naive_on_seeded_terms(self):
-        # Flat and nested terms over few dots, so cells repeat dots and
-        # predicates, and models with empty domains and empty relations;
-        # every case the plan treats apart must come up.
-        rng = Random(409)
+        # Every case the plan treats apart must come up.
         reached: Counter[str] = Counter()
-        checked = 0
-        while checked < 600:
-            if rng.random() < 0.5:
-                term = rand_flat_term(rng, max_cells=5)
-            else:
-                term = rand_term(rng, depth=2, max_cells=3)
-            if flatten(term).diagram.num_dots > 5:
-                continue
-            model = rand_model(rng, max_atoms=4, density=rng.choice((0.3, 0.7)))
+        for term, model in join_plan_cases():
             assert eval_term(term, model) == eval_term_naive(term, model)
             reached.update(plan_features(term, model))
-            checked += 1
         assert len(reached) == 10 and min(reached.values()) >= 10, reached
 
     def test_nested_errors_match_level_by_level_evaluation(self):
@@ -381,3 +387,87 @@ class TestJoinPlan:
         # so that term entails the path exactly when it exposes v(k mod n).
         holds = [j for j in range(n) if contains(cycle_term(n, j), path)]
         assert holds == [k % n]
+
+
+def binary_query(
+    out: tuple[int, ...], *atoms: tuple[str, tuple[int, int]]
+) -> GraphicalTerm:
+    """The conjunction of atoms ``(predicate, (dot, dot))`` over dots of type
+    x, exposing the dots in ``out``."""
+    shell = mk_context(("x", "x"))
+    dots = 1 + max(d for _, row in atoms for d in row)
+    w = mk_wiring(
+        [shell] * len(atoms),
+        mk_context(("x",) * len(out)),
+        ("x",) * dots,
+        (*(row for _, row in atoms), out),
+    )
+    return GraphicalTerm(w, tuple(name for name, _ in atoms))
+
+
+def two_graph_model() -> ModelInstance:
+    """E and F: two different relations with the same shell."""
+    shell = mk_context(("x", "x"))
+    e = [("a", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "c"), ("a", "d")]
+    f = [("a", "b"), ("b", "b"), ("d", "c")]
+    atoms = ("a", "b", "c", "d")
+    return mk_model({"x": atoms}, {"E": shell, "F": shell}, {"E": e, "F": f})
+
+
+# Probes the cache must tell apart, in an order that meets each one after
+# another pattern of the same predicate has been indexed on the model.
+CACHE_QUERIES = [
+    binary_query((0, 1), ("E", (0, 1))),
+    # a repeated dot, under the same (empty) key as the line above
+    binary_query((0,), ("E", (0, 0))),
+    # E probed by its first position, then by its second
+    binary_query((0, 2), ("E", (0, 1)), ("E", (1, 2))),
+    binary_query((0, 2), ("E", (1, 2)), ("E", (0, 1))),
+    # a repeated dot under a one-position key
+    binary_query((0,), ("E", (0, 1)), ("E", (1, 1))),
+    # the two leaves of the star share one index within the call
+    binary_query((1, 2, 3), ("E", (0, 1)), ("E", (0, 2)), ("E", (0, 3))),
+    # F has E's shell, pattern and key positions
+    binary_query((0, 1), ("F", (0, 1))),
+    binary_query((0, 2), ("F", (0, 1)), ("E", (1, 2))),
+    binary_query((0, 1), ("E", (0, 1)), ("F", (0, 1))),
+    binary_query((0,), ("E", (0, 1)), ("E", (1, 2)), ("E", (2, 0))),
+]
+
+
+class TestIndexCache:
+    def test_many_queries_on_one_model(self):
+        model = two_graph_model()
+        for term in CACHE_QUERIES * 2:
+            fresh = ModelInstance(model.domains, model.relations)
+            value = eval_term(term, model)
+            assert value == eval_term(term, fresh) == eval_term_naive(term, model)
+        shared = rand_model(Random(410), max_atoms=4)
+        for term, _ in join_plan_cases(300):
+            fresh = ModelInstance(shared.domains, shared.relations)
+            value = eval_term(term, shared)
+            assert value == eval_term(term, fresh) == eval_term_naive(term, shared)
+
+    def test_repeated_query_builds_nothing(self):
+        model = two_graph_model()
+        star = CACHE_QUERIES[5]
+        eval_term(star, model)
+        before = dict(model._indexes)
+        assert len(before) == 2  # the root and the two leaves' shared probe
+        eval_term(star, model)
+        assert model._indexes.keys() == before.keys()
+        assert all(model._indexes[k] is index for k, index in before.items())
+
+    def test_cache_is_invisible(self):
+        model = two_graph_model()
+        fresh = ModelInstance(model.domains, model.relations)
+        for term in CACHE_QUERIES:
+            eval_term(term, model)
+        assert model._indexes and not fresh._indexes
+        assert model == fresh and repr(model) == repr(fresh)
+        assert "_indexes" not in repr(model)
+        copy = dataclasses.replace(model)
+        assert copy == model and copy._indexes == {}
+        other = dataclasses.replace(model, relations={"E": model.relation("F")})
+        assert other._indexes == {}
+        assert eval_term(CACHE_QUERIES[0], other) == model.relation("F")
