@@ -1,11 +1,13 @@
 """Command line front end.
 
-Usage: ``reglog WORKSPACE COMMAND [ARGS] [--model FILE] [--json] [--bound N]``
+Usage: ``reglog WORKSPACE COMMAND [ARGS] [--model FILE] [--json] [--bound N]
+[--timings]``
 
 The workspace file declares types, predicates, diagrams, terms, and data; a
 second file given with ``--model`` overlays extra domains and relation rows.
 Exit status is 0 when the queried property holds (or the command simply
-succeeds), 1 when it does not hold, and 2 on malformed input.
+succeeds), 1 when it does not hold, and 2 on malformed input.  ``--timings``
+writes the seconds spent loading (both files) and in the command to stderr.
 
 The argparse tree is built once per process, on the first ``main`` call, and
 reused by every later call: ``parse_args`` returns a fresh namespace and
@@ -18,6 +20,7 @@ import argparse
 import functools
 import json
 import sys
+from time import perf_counter
 
 from .contain import contains, minimize_core
 from .context import Context
@@ -61,12 +64,11 @@ def _get_diagram(ws: Workspace, name: str) -> tuple[WiringDiagram, tuple | None]
     raise DslError(f"unknown diagram or term {name!r}")
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text: str, end: str = "\n") -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
-    else:
-        if text:
-            print(text)
+    elif text:
+        print(text, end=end)
 
 
 def _verdict(args, holds: bool, what: str) -> int:
@@ -76,32 +78,21 @@ def _verdict(args, holds: bool, what: str) -> int:
 
 def cmd_validate(ws: Workspace, args) -> int:
     ws.model()
-    counts = (
-        f"types {len(ws.types)}, contexts {len(ws.contexts)}, "
-        f"predicates {len(ws.predicates)}, diagrams {len(ws.diagrams)}, "
-        f"terms {len(ws.terms)}"
-    )
-    _emit(
-        args,
-        {
-            "ok": True,
-            "types": len(ws.types),
-            "contexts": len(ws.contexts),
-            "predicates": len(ws.predicates),
-            "diagrams": len(ws.diagrams),
-            "terms": len(ws.terms),
-        },
-        f"ok: {counts}",
-    )
+    counts = {
+        "types": len(ws.types),
+        "contexts": len(ws.contexts),
+        "predicates": len(ws.predicates),
+        "diagrams": len(ws.diagrams),
+        "terms": len(ws.terms),
+    }
+    text = ", ".join(f"{key} {n}" for key, n in counts.items())
+    _emit(args, {"ok": True, **counts}, f"ok: {text}")
     return 0
 
 
 def cmd_print(ws: Workspace, args) -> int:
     text = print_workspace(ws)
-    if args.json:
-        print(json.dumps({"text": text}, indent=2))
-    else:
-        sys.stdout.write(text)
+    _emit(args, {"text": text}, text, end="")
     return 0
 
 
@@ -175,10 +166,7 @@ def cmd_formula(ws: Workspace, args) -> int:
 def cmd_dot(ws: Workspace, args) -> int:
     w, labels = _get_diagram(ws, args.name)
     text = emit_dot(w, labels, name=args.name)
-    if args.json:
-        print(json.dumps({"dot": text}, indent=2))
-    else:
-        sys.stdout.write(text)
+    _emit(args, {"dot": text}, text, end="")
     return 0
 
 
@@ -210,6 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--bound", type=int, default=None, help="search bound for axioms"
+    )
+    common.add_argument(
+        "--timings", action="store_true", help="write phase times to stderr"
     )
 
     parser = argparse.ArgumentParser(
@@ -299,13 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        start = perf_counter()
         ws = load_workspace(args.workspace)
         if args.model:
             ws.merge_data(load_workspace(args.model))
-        return args.fn(ws, args)
+        loaded = perf_counter()
+        code = args.fn(ws, args)
     except (ReglogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.timings:
+        print(f"timings: load {loaded - start:.6f} s", file=sys.stderr)
+        print(f"timings: command {perf_counter() - loaded:.6f} s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

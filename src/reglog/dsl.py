@@ -28,6 +28,14 @@ Statements, each terminated by ``;`` or a ``{ ... }`` block::
 ``wire`` lines are ``in1``, ``in2``, ... for inner shells, ``out`` for the
 outer one; an inner shell written as a context name may also be referenced by
 that name when it is unambiguous.
+
+Files are UTF-8.  The lexer runs one ``findall`` per line, whose matches are
+exactly the tokens: strings keep their quotes, a comment is the line's last
+match and is dropped, and any other character gives an empty match.  Neither
+a string nor a comment runs past its line.  The parser reads two flat lists,
+the token strings and their lines, and takes a token's kind from its first
+character: a letter or ``_`` for a name, a digit for a number, ``"`` for a
+string; the empty string marks the end.
 """
 
 from __future__ import annotations
@@ -46,37 +54,37 @@ from .wiring import WiringDiagram, mk_wiring
 
 _T = TypeVar("_T")
 
-_KEYWORDS = {
-    "type",
-    "pred",
-    "context",
-    "diagram",
-    "term",
-    "domain",
-    "data",
-    "supp",
-    "wire",
-    "dot",
-    "from",
-    "true",
-}
+_KEYWORDS = frozenset(
+    "type pred context diagram term domain data supp wire dot from true".split()
+)
 
 _RESERVED_NAME = re.compile(r"^(out|in[0-9]+)$")
 
+# The tokens of one line, and a comment; the empty last alternative matches
+# before each character that is neither whitespace nor the start of a token.
 _TOKEN = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<string>"[^"\n]*")
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>[0-9]+)
-  | (?P<arrow>->)
-  | (?P<punct>[(){},;:=.|])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
+    r'"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|[(){},;:=.|]|#.*|(?=[^ \t\r])'
 )
+
+
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The token strings of ``text`` and their lines, ending with ``""``."""
+    values: list[str] = []
+    lines: list[int] = []
+    findall = _TOKEN.findall
+    n = 0
+    for n, line in enumerate(text.split("\n"), 1):
+        tokens = findall(line)
+        if "" in tokens:
+            at = next(m.start() for m in _TOKEN.finditer(line) if not m.group())
+            raise DslError(f"unexpected character {line[at]!r}", n)
+        if tokens and tokens[-1][0] == "#":
+            tokens.pop()
+        values += tokens
+        lines += [n] * len(tokens)
+    values.append("")
+    lines.append(n)
+    return values, lines
 
 
 class Token(NamedTuple):
@@ -85,27 +93,18 @@ class Token(NamedTuple):
     line: int
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending with an ``eof`` token.
+def _kind(value: str) -> str:
+    if value.isidentifier():
+        return "name"
+    if value.isdigit():
+        return "number"
+    return {"": "eof", '"': "string", "-": "arrow"}.get(value[:1], "punct")
 
-    One ``finditer`` pass: the last alternative, ``bad``, matches any
-    character the language does not use, so the matches tile the text and
-    the first ``bad`` match raises with its line.
-    """
-    tokens = []
-    line = 1
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-        elif kind == "bad":
-            raise DslError(f"unexpected character {m.group()!r}", line)
-        elif kind == "string":
-            tokens.append(Token(kind, m.group()[1:-1], line))
-        elif kind not in ("ws", "comment"):
-            tokens.append(Token(kind, m.group(), line))
-    tokens.append(Token("eof", "", line))
-    return tokens
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens the parser reads, as ``Token``s ending with ``eof``."""
+    values, lines = _lex(text)
+    return [Token(_kind(v), v.strip('"'), n) for v, n in zip(values, lines)]
 
 
 @dataclass
@@ -149,79 +148,84 @@ class Workspace:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], ws: Workspace):
-        self.tokens = tokens
+    def __init__(self, text: str, ws: Workspace):
+        self.values, self.lines = _lex(text)
         self.pos = 0
         self.ws = ws
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.values[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.values[self.pos - 1]
 
-    def expect(self, value: str) -> Token:
-        tok = self.next()
-        if tok.value != value:
-            raise DslError(f"expected {value!r}, found {tok.value!r}", tok.line)
-        return tok
+    @property
+    def line(self) -> int:
+        """The line of the token read last."""
+        return self.lines[self.pos - 1]
 
-    def expect_name(self) -> Token:
-        tok = self.next()
-        if tok.kind != "name":
-            raise DslError(f"expected a name, found {tok.value!r}", tok.line)
-        return tok
+    def unexpected(self, what: str) -> DslError:
+        """The error for the token read last, which is not ``what``."""
+        value = self.values[self.pos - 1].strip('"')
+        return DslError(f"expected {what}, found {value!r}", self.line)
 
-    def fresh_name(self) -> Token:
-        tok = self.expect_name()
-        if tok.value in _KEYWORDS or _RESERVED_NAME.match(tok.value):
-            raise DslError(f"{tok.value!r} is reserved", tok.line)
-        for table in (
-            self.ws.types,
-            self.ws.contexts,
-            self.ws.predicates,
-            self.ws.diagrams,
-            self.ws.terms,
-        ):
-            if tok.value in table:
-                raise DslError(f"name {tok.value!r} already declared", tok.line)
-        return tok
+    def expect(self, value: str) -> None:
+        self.pos += 1
+        if self.values[self.pos - 1] != value:
+            raise self.unexpected(repr(value))
 
-    def atom(self) -> Token:
-        tok = self.next()
-        if tok.kind not in ("name", "number"):
-            raise DslError(f"expected an atom, found {tok.value!r}", tok.line)
-        return tok
+    def expect_name(self) -> str:
+        self.pos += 1
+        name = self.values[self.pos - 1]
+        if not name.isidentifier():
+            raise self.unexpected("a name")
+        return name
+
+    def fresh_name(self) -> str:
+        name = self.expect_name()
+        if name in _KEYWORDS or _RESERVED_NAME.match(name):
+            raise DslError(f"{name!r} is reserved", self.line)
+        ws = self.ws
+        for table in (ws.types, ws.contexts, ws.predicates, ws.diagrams, ws.terms):
+            if name in table:
+                raise DslError(f"name {name!r} already declared", self.line)
+        return name
+
+    def atom(self) -> str:
+        value = self.next()
+        if not (value.isidentifier() or value.isdigit()):
+            raise self.unexpected("an atom")
+        return value
 
     def comma_list(
         self, item: Callable[[], _T], stop: tuple[str, ...] = ()
     ) -> list[_T]:
         """Items separated by commas; none at all if a ``stop`` token is next."""
-        if self.peek().value in stop:
+        if self.values[self.pos] in stop:
             return []
         items = [item()]
-        while self.peek().value == ",":
-            self.next()
+        while self.values[self.pos] == ",":
+            self.pos += 1
             items.append(item())
         return items
 
     # -- shared pieces -----------------------------------------------------
 
     def type_name(self) -> str:
-        tok = self.expect_name()
-        if tok.value not in self.ws.types:
-            raise DslError(f"unknown type {tok.value!r}", tok.line)
-        return tok.value
+        name = self.expect_name()
+        if name not in self.ws.types:
+            raise DslError(f"unknown type {name!r}", self.line)
+        return name
 
     def context_literal(self) -> Context:
-        open_tok = self.expect("(")
+        self.expect("(")
+        line = self.line
         ports = self.comma_list(self.type_name, (")", "|"))
         extra: list[str] = []
-        if self.peek().value == "|":
+        if self.peek() == "|":
             self.next()
             self.expect("supp")
             extra = self.comma_list(self.type_name)
@@ -229,121 +233,122 @@ class _Parser:
         try:
             return mk_context(ports, extra)
         except ReglogError as exc:
-            raise DslError(str(exc), open_tok.line) from exc
+            raise DslError(str(exc), line) from exc
 
     def context_ref(self) -> Context:
-        tok = self.peek()
-        if tok.kind == "name":
-            self.next()
-            if tok.value not in self.ws.contexts:
-                raise DslError(f"unknown context {tok.value!r}", tok.line)
-            return self.ws.contexts[tok.value]
-        return self.context_literal()
+        if not self.peek().isidentifier():
+            return self.context_literal()
+        name = self.next()
+        if name not in self.ws.contexts:
+            raise DslError(f"unknown context {name!r}", self.line)
+        return self.ws.contexts[name]
 
     # -- statements ----------------------------------------------------------
 
     def parse(self) -> None:
-        while self.peek().kind != "eof":
-            tok = self.next()
-            handler = getattr(self, f"stmt_{tok.value}", None)
-            if tok.kind != "name" or handler is None:
-                raise DslError(
-                    f"expected a statement, found {tok.value!r}", tok.line
-                )
+        while self.peek():
+            handler = getattr(self, f"stmt_{self.next()}", None)
+            if handler is None:
+                raise self.unexpected("a statement")
             handler()
 
     def stmt_type(self) -> None:
+        start = self.pos
         names = self.comma_list(self.fresh_name)
         self.expect(";")
-        for tok in names:
-            if tok.value in self.ws.types:
-                raise DslError(f"type {tok.value!r} already declared", tok.line)
-            self.ws.types.append(tok.value)
-        self.ws.statements.append(("type", tuple(t.value for t in names)))
+        for k, name in enumerate(names):
+            if name in self.ws.types:
+                # the names sit at every other token, between the commas
+                raise DslError(
+                    f"type {name!r} already declared", self.lines[start + 2 * k]
+                )
+            self.ws.types.append(name)
+        self.ws.statements.append(("type", tuple(names)))
 
     def stmt_context(self) -> None:
         name = self.fresh_name()
         self.expect("=")
         value = self.context_literal()
         self.expect(";")
-        self.ws.contexts[name.value] = value
-        self.ws.statements.append(("context", name.value))
+        self.ws.contexts[name] = value
+        self.ws.statements.append(("context", name))
 
     def stmt_pred(self) -> None:
         name = self.fresh_name()
         self.expect(":")
         shell = self.context_ref()
         self.expect(";")
-        self.ws.predicates[name.value] = shell
-        self.ws.statements.append(("pred", name.value))
+        self.ws.predicates[name] = shell
+        self.ws.statements.append(("pred", name))
 
     def stmt_domain(self) -> None:
-        tok = self.expect_name()
-        if tok.value not in self.ws.types:
-            raise DslError(f"unknown type {tok.value!r}", tok.line)
-        if tok.value in self.ws.domains:
-            raise DslError(f"domain of {tok.value!r} already declared", tok.line)
+        t = self.expect_name()
+        line = self.line
+        if t not in self.ws.types:
+            raise DslError(f"unknown type {t!r}", line)
+        if t in self.ws.domains:
+            raise DslError(f"domain of {t!r} already declared", line)
         self.expect("=")
         self.expect("{")
-        atoms = [tok.value for tok in self.comma_list(self.atom, ("}",))]
+        atoms = self.comma_list(self.atom, ("}",))
         self.expect("}")
         self.expect(";")
         if len(set(atoms)) != len(atoms):
-            raise DslError(f"duplicate atom in domain of {tok.value!r}", tok.line)
-        self.ws.domains[tok.value] = tuple(atoms)
-        self.ws.statements.append(("domain", tok.value))
-
-    def _data_row(self, shell: Context, line: int, atoms: tuple[str, ...]) -> tuple:
-        if len(atoms) != shell.arity:
-            raise DslError(
-                f"row has {len(atoms)} entries, predicate takes {shell.arity}",
-                line,
-            )
-        for value, t in zip(atoms, shell.port_types):
-            if value not in self.ws.domains.get(t, ()):
-                raise DslError(
-                    f"atom {value!r} is not in the domain of type {t!r}", line
-                )
-        return atoms
+            raise DslError(f"duplicate atom in domain of {t!r}", line)
+        self.ws.domains[t] = tuple(atoms)
+        self.ws.statements.append(("domain", t))
 
     def stmt_data(self) -> None:
-        tok = self.expect_name()
-        if tok.value not in self.ws.predicates:
-            raise DslError(f"unknown predicate {tok.value!r}", tok.line)
-        shell = self.ws.predicates[tok.value]
-        if self.peek().value == "from":
+        name = self.expect_name()
+        if name not in self.ws.predicates:
+            raise DslError(f"unknown predicate {name!r}", self.line)
+        shell = self.ws.predicates[name]
+        if self.peek() == "from":
             self.next()
-            fname = self.next()
-            if fname.kind != "string":
-                raise DslError("expected a quoted file name", fname.line)
+            if self.next()[:1] != '"':
+                raise DslError("expected a quoted file name", self.line)
+            fname, line = self.values[self.pos - 1].strip('"'), self.line
             self.expect(";")
-            path = os.path.join(self.ws.base_dir, fname.value)
-            rows = ingest_csv(path, shell, self.ws.domains, fname.line)
-            self.ws.data.setdefault(tok.value, set()).update(rows)
-            self.ws.statements.append(("data_from", tok.value, fname.value))
+            path = os.path.join(self.ws.base_dir, fname)
+            rows = ingest_csv(path, shell, self.ws.domains, line)
+            self.ws.data.setdefault(name, set()).update(rows)
+            self.ws.statements.append(("data_from", name, fname))
             return
         self.expect("{")
         rows: set[tuple[str, ...]] = set()
-        while self.peek().value != "}":
-            open_tok = self.expect("(")
-            atoms = [tok.value for tok in self.comma_list(self.atom, (")",))]
+        columns = [set(self.ws.domains.get(t, ())) for t in shell.port_types]
+        while self.peek() != "}":
+            self.expect("(")
+            line = self.line
+            row = tuple(self.comma_list(self.atom, (")",)))
             self.expect(")")
             self.expect(";")
-            rows.add(self._data_row(shell, open_tok.line, tuple(atoms)))
+            if len(row) != shell.arity:
+                raise DslError(
+                    f"row has {len(row)} entries, predicate takes {shell.arity}",
+                    line,
+                )
+            for value, t, domain in zip(row, shell.port_types, columns):
+                if value not in domain:
+                    raise DslError(
+                        f"atom {value!r} is not in the domain of type {t!r}", line
+                    )
+            rows.add(row)
         self.expect("}")
         if rows:
-            self.ws.data.setdefault(tok.value, set()).update(rows)
-            self.ws.statements.append(("data", tok.value, tuple(sorted(rows))))
+            self.ws.data.setdefault(name, set()).update(rows)
+            self.ws.statements.append(("data", name, tuple(sorted(rows))))
 
     def stmt_diagram(self) -> None:
         name = self.fresh_name()
+        header_line = self.line
         self.expect(":")
         self.expect("(")
         inner_names: list[str | None] = []
 
         def inner_shell() -> Context:
-            tok = self.peek()
-            inner_names.append(tok.value if tok.kind == "name" else None)
+            label = self.peek()
+            inner_names.append(label if label.isidentifier() else None)
             return self.context_ref()
 
         inner = self.comma_list(inner_shell, (")",))
@@ -354,113 +359,103 @@ class _Parser:
 
         dot_names: dict[str, int] = {}
         dot_types: list[str] = []
-        rows: list[list[int | None]] = [
-            [None] * c.arity for c in inner
-        ] + [[None] * outer.arity]
+        shells = (*inner, outer)
+        rows: list[list[int | None]] = [[None] * c.arity for c in shells]
         extra: list[str] = []
         saw_supp = False
-        header_line = name.line
 
-        def shell_index(tok: Token) -> int:
-            if tok.value == "out":
+        def shell_index(ref: str) -> int:
+            if ref == "out":
                 return len(inner)
-            m = re.fullmatch(r"in([0-9]+)", tok.value)
-            if m:
-                k = int(m.group(1))
-                if not 1 <= k <= len(inner):
+            if ref[:2] == "in" and ref[2:].isdigit():
+                if not 1 <= int(ref[2:]) <= len(inner):
                     raise DslError(
-                        f"no inner shell {tok.value!r} (the diagram has "
-                        f"{len(inner)})",
-                        tok.line,
+                        f"no inner shell {ref!r} (the diagram has {len(inner)})",
+                        self.line,
                     )
-                return k - 1
-            hits = [i for i, lbl in enumerate(inner_names) if lbl == tok.value]
-            if len(hits) == 1:
-                return hits[0]
+                return int(ref[2:]) - 1
+            hits = [i for i, lbl in enumerate(inner_names) if lbl == ref]
             if len(hits) > 1:
                 raise DslError(
-                    f"shell name {tok.value!r} is ambiguous, use in1..in{len(inner)}",
-                    tok.line,
+                    f"shell name {ref!r} is ambiguous, use in1..in{len(inner)}",
+                    self.line,
                 )
-            raise DslError(f"unknown shell {tok.value!r}", tok.line)
+            if not hits:
+                raise DslError(f"unknown shell {ref!r}", self.line)
+            return hits[0]
 
-        while self.peek().value != "}":
-            tok = self.next()
-            if tok.value == "dot":
+        while self.peek() != "}":
+            keyword = self.next()
+            if keyword == "dot":
                 dname = self.expect_name()
-                if dname.value in dot_names:
-                    raise DslError(f"dot {dname.value!r} already declared", dname.line)
+                if dname in dot_names:
+                    raise DslError(f"dot {dname!r} already declared", self.line)
                 self.expect(":")
-                dot_names[dname.value] = len(dot_types)
+                dot_names[dname] = len(dot_types)
                 dot_types.append(self.type_name())
                 self.expect(";")
-            elif tok.value == "wire":
+            elif keyword == "wire":
                 ref = self.expect_name()
                 shell = shell_index(ref)
                 self.expect(".")
-                port_tok = self.next()
-                if port_tok.kind != "number":
-                    raise DslError("expected a port number", port_tok.line)
-                port = int(port_tok.value) - 1
-                arity = (outer if shell == len(inner) else inner[shell]).arity
-                if not 0 <= port < arity:
+                number = self.next()
+                port_line = self.line
+                if not number.isdigit():
+                    raise DslError("expected a port number", port_line)
+                port = int(number) - 1
+                if not 0 <= port < shells[shell].arity:
                     raise DslError(
-                        f"shell {ref.value!r} has no port {port_tok.value}",
-                        port_tok.line,
+                        f"shell {ref!r} has no port {number}", port_line
                     )
                 self.expect("->")
                 dname = self.expect_name()
-                if dname.value not in dot_names:
-                    raise DslError(f"unknown dot {dname.value!r}", dname.line)
+                if dname not in dot_names:
+                    raise DslError(f"unknown dot {dname!r}", self.line)
                 self.expect(";")
                 if rows[shell][port] is not None:
                     raise DslError(
-                        f"port {ref.value}.{port_tok.value} is wired twice",
-                        port_tok.line,
+                        f"port {ref}.{number} is wired twice", port_line
                     )
-                rows[shell][port] = dot_names[dname.value]
-            elif tok.value == "supp":
+                rows[shell][port] = dot_names[dname]
+            elif keyword == "supp":
                 if saw_supp:
-                    raise DslError("supp given twice", tok.line)
+                    raise DslError("supp given twice", self.line)
                 saw_supp = True
                 self.expect("{")
                 extra = self.comma_list(self.type_name, ("}",))
                 self.expect("}")
                 self.expect(";")
             else:
-                raise DslError(
-                    f"expected dot, wire or supp, found {tok.value!r}", tok.line
-                )
+                raise self.unexpected("dot, wire or supp")
         self.expect("}")
 
-        shells = [f"in{i + 1}" for i in range(len(inner))] + ["out"]
         for s, row in enumerate(rows):
-            for p, dot in enumerate(row):
-                if dot is None:
-                    raise DslError(
-                        f"port {shells[s]}.{p + 1} is not wired", header_line
-                    )
+            if None in row:
+                label = "out" if s == len(inner) else f"in{s + 1}"
+                port = row.index(None) + 1
+                raise DslError(f"port {label}.{port} is not wired", header_line)
         try:
             diagram = mk_wiring(inner, outer, dot_types, rows, extra)
         except ReglogError as exc:
             raise DslError(str(exc), header_line) from exc
-        self.ws.diagrams[name.value] = diagram
-        self.ws.statements.append(("diagram", name.value))
+        self.ws.diagrams[name] = diagram
+        self.ws.statements.append(("diagram", name))
 
     def stmt_term(self) -> None:
         name = self.fresh_name()
         self.expect("=")
         head = self.expect_name()
+        line = self.line
         expr: tuple
-        if head.value == "true":
+        if head == "true":
             self.expect("(")
             ctx = self.context_ref()
             self.expect(")")
             value = true_term(ctx)
             expr = ("true", ctx)
-        elif head.value in self.ws.diagrams:
+        elif head in self.ws.diagrams:
             self.expect("(")
-            args = [tok.value for tok in self.comma_list(self.expect_name, (")",))]
+            args = self.comma_list(self.expect_name, (")",))
             self.expect(")")
             cells = []
             for arg in args:
@@ -469,29 +464,28 @@ class _Parser:
                 elif arg in self.ws.predicates:
                     cells.append(arg)
                 else:
-                    raise DslError(
-                        f"unknown predicate or term {arg!r}", head.line
-                    )
+                    raise DslError(f"unknown predicate or term {arg!r}", line)
             try:
-                value = mk_term(
-                    self.ws.diagrams[head.value], cells, self.ws.signature
-                )
+                value = mk_term(self.ws.diagrams[head], cells, self.ws.signature)
             except ReglogError as exc:
-                raise DslError(str(exc), head.line) from exc
-            expr = ("apply", head.value, tuple(args))
-        elif head.value in self.ws.predicates:
-            value = bare_term(head.value, self.ws.signature)
-            expr = ("pred", head.value)
+                raise DslError(str(exc), line) from exc
+            expr = ("apply", head, tuple(args))
+        elif head in self.ws.predicates:
+            value = bare_term(head, self.ws.signature)
+            expr = ("pred", head)
         else:
-            raise DslError(
-                f"expected true(...), a diagram application or a predicate, "
-                f"found {head.value!r}",
-                head.line,
+            raise self.unexpected(
+                "true(...), a diagram application or a predicate"
             )
         self.expect(";")
-        self.ws.terms[name.value] = value
-        self.ws.term_exprs[name.value] = expr
-        self.ws.statements.append(("term", name.value))
+        self.ws.terms[name] = value
+        self.ws.term_exprs[name] = expr
+        self.ws.statements.append(("term", name))
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError, line: int | None = None):
+    byte = exc.object[exc.start]
+    return DslError(f"cannot read {path!r}: not UTF-8 (byte {byte:#04x})", line)
 
 
 def ingest_csv(
@@ -507,7 +501,7 @@ def ingest_csv(
     atoms of the column types.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             raw = [
                 [cell.strip() for cell in row]
                 for row in csv.reader(fh)
@@ -515,27 +509,23 @@ def ingest_csv(
             ]
     except OSError as exc:
         raise DslError(f"cannot read {path!r}: {exc.strerror}", line) from exc
-
-    def cell_ok(value: str, t: str) -> bool:
-        return value in domains.get(t, ())
-
-    rows: set[tuple[str, ...]] = set()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, line) from exc
+    columns = [set(domains.get(t, ())) for t in shell.port_types]
     start = 0
-    if raw:
-        first = raw[0]
-        if len(first) != shell.arity or not any(
-            cell_ok(v, t) for v, t in zip(first, shell.port_types)
-        ):
-            start = 1
+    if raw and (
+        len(raw[0]) != shell.arity or not any(v in c for v, c in zip(raw[0], columns))
+    ):
+        start = 1
+    rows: set[tuple[str, ...]] = set()
     for idx, row in enumerate(raw[start:], start=start + 1):
         if len(row) != shell.arity:
             raise DslError(
-                f"{path}: row {idx} has {len(row)} columns, expected "
-                f"{shell.arity}",
+                f"{path}: row {idx} has {len(row)} columns, expected {shell.arity}",
                 line,
             )
-        for value, t in zip(row, shell.port_types):
-            if not cell_ok(value, t):
+        for value, t, domain in zip(row, shell.port_types, columns):
+            if value not in domain:
                 raise DslError(
                     f"{path}: row {idx}: {value!r} is not an atom of type {t!r}",
                     line,
@@ -546,13 +536,16 @@ def ingest_csv(
 
 def parse_workspace(text: str, base_dir: str = ".") -> Workspace:
     ws = Workspace(base_dir=base_dir)
-    _Parser(tokenize(text), ws).parse()
+    _Parser(text, ws).parse()
     return ws
 
 
 def load_workspace(path: str) -> Workspace:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     return parse_workspace(text, base_dir=os.path.dirname(path) or ".")
 
 

@@ -37,7 +37,7 @@ from operator import or_
 from typing import Iterable, Iterator
 
 from .context import Context, mk_context, oplus, terminal_ctx
-from .errors import CompositionError, ValidationError
+from .errors import CompositionError, ReglogError, ValidationError
 from .model import FinRelation, ModelInstance, mk_relation, true_rel
 
 
@@ -992,18 +992,28 @@ class FundamentalReport:
         )
 
 
+FUNDAMENTAL_MAX_CELLS = 16  # 2^16 relations take about a second
+
+
 def fundamental_check(
     model: ModelInstance, left_type: str, right_type: str
 ) -> FundamentalReport:
     """Relations between full one-port objects are subsets of the product of
-    domains; functions are exactly the graphs of maps between the domains."""
+    domains; functions are exactly the graphs of maps between the domains.
+    It lists all 2^(|D|*|D'|) relations, so it refuses more cells than
+    ``FUNDAMENTAL_MAX_CELLS``."""
+    d1, d2 = len(model.domain(left_type)), len(model.domain(right_type))
+    if d1 * d2 > FUNDAMENTAL_MAX_CELLS:
+        raise ReglogError(
+            f"fundamental census of {d1}x{d2} = {d1 * d2} cells is over the "
+            f"limit of {FUNDAMENTAL_MAX_CELLS} cells"
+        )
     o1 = SynObject(
         mk_context((left_type,)), true_rel(mk_context((left_type,)), model)
     )
     o2 = SynObject(
         mk_context((right_type,)), true_rel(mk_context((right_type,)), model)
     )
-    d1, d2 = len(model.domain(left_type)), len(model.domain(right_type))
     rels = enumerate_relations(o1, o2)
     functions = [r for r in rels if classify(r).function]
     graphs = all(

@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,17 @@ def path_ws(cells: int, atoms: int) -> str:
         f"term main = path({', '.join(['E'] * cells)});\n"
         f"domain x = {{{', '.join(map(str, range(atoms)))}}};\n"
         f"data E {{ {edges} }}\n"
+    )
+
+
+def run_module(*args, timeout=60, preexec_fn=None, **env):
+    """Run ``python -m reglog.cli`` on the source tree, with extra ``env``."""
+    return subprocess.run(
+        [sys.executable, "-m", "reglog.cli", *map(str, args)],
+        capture_output=True,
+        env={**src_env(), **env},
+        timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -547,6 +559,75 @@ class TestCli:
         code, _, err = run_cli(capsys, mistyped, "validate")
         assert code == 2
         assert "line 2: port 1 of shell (x) has type x but dot 2 has type y" in err
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.rl"
+        path.write_bytes(b"\xfftype x;\n")
+        proc = run_module(path, "validate")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: cannot read {str(path)!r}: not UTF-8 (byte 0xff)\n".encode()
+        )
+        rows = tmp_path / "rows.csv"
+        rows.write_bytes(b"a0,b0\ncaf\xe9,b0\n")
+        ws = write_ws(tmp_path, BASIC + 'data R from "rows.csv";\n', "csv.rl")
+        line = BASIC.count("\n") + 1
+        assert run_cli(capsys, ws, "validate") == (
+            2,
+            "",
+            f"error: line {line}: cannot read {str(rows)!r}: not UTF-8 (byte 0xe9)\n",
+        )
+
+    def test_utf8_input_under_the_c_locale(self, tmp_path):
+        path = tmp_path / "lambda.rl"
+        path.write_bytes("type x;  # λ\n".encode("utf-8"))
+        proc = run_module(
+            path, "validate", LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            b"ok: types 1, contexts 0, predicates 0, diagrams 0, terms 0\n"
+        )
+
+    def test_fundamental_refuses_a_large_census_before_allocating(self, tmp_path):
+        # 5 x 5 cells would mean 2^25 relations, minutes and gigabytes without
+        # the limit, so the child gets its own address-space cap and a timeout.
+        path = write_ws(
+            tmp_path,
+            "type x, y;\ndomain x = {a, b, c, d, e};\ndomain y = {p, q, r, s, t};\n",
+        )
+        cap = 700 << 20
+        proc = run_module(
+            path,
+            "fundamental",
+            "x",
+            "y",
+            timeout=5,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"error: fundamental census of 5x5 = 25 cells is over the limit of "
+            b"16 cells\n"
+        )
+
+    def test_timings_go_to_stderr_only(self, tmp_path, capsys):
+        path = write_ws(tmp_path)
+        overlay = write_ws(tmp_path, "type x;\ndomain x = {a2};\n", name="extra.rl")
+        timings = re.compile(
+            r"timings: load \d+\.\d{6} s\ntimings: command \d+\.\d{6} s\n"
+        )
+        for args in (
+            ("eval", "r"),
+            ("eval", "r", "--json"),
+            ("eval", "r", "--model", overlay),
+            ("contains", "top", "t"),
+        ):
+            code, out, err = run_cli(capsys, path, *args)
+            assert err == ""
+            timed_code, timed_out, timed_err = run_cli(capsys, path, *args, "--timings")
+            assert (timed_code, timed_out) == (code, out)
+            assert timings.fullmatch(timed_err), timed_err
 
     def test_parser_is_built_once_per_process(self):
         assert cli.build_parser() is cli.build_parser()

@@ -21,7 +21,7 @@ import pytest
 
 import reglog.syncat as syncat
 from reglog.context import mk_context, oplus, terminal_ctx
-from reglog.errors import CompositionError, ValidationError
+from reglog.errors import CompositionError, ReglogError, ValidationError
 from reglog.model import mk_model
 from reglog.syncat import (
     AxiomBounds,
@@ -639,6 +639,17 @@ class TestFundamental:
         assert right_empty.ok
         assert right_empty.as_dict()["functions"] == 0
         assert right_empty.as_dict()["relations"] == 1
+
+    def test_refuses_a_census_over_the_cell_limit(self, monkeypatch):
+        # Checked before anything is built: no relation is enumerated.
+        monkeypatch.setattr(syncat, "enumerate_relations", None)
+        m = mk_model({"x": tuple("abcde"), "y": tuple("pqrst")}, {})
+        assert syncat.FUNDAMENTAL_MAX_CELLS == 16
+        with pytest.raises(ReglogError, match="5x5 = 25 cells .* limit of 16 cells"):
+            fundamental_check(m, "x", "y")
+        wide = mk_model({"x": ("a",), "y": tuple("abcdefghijklmnopq")}, {})
+        with pytest.raises(ReglogError, match="1x17 = 17 cells"):
+            fundamental_check(wide, "x", "y")
 
     def test_summary_mentions_the_counts(self):
         report = fundamental_check(pair_model(), "x", "y")
