@@ -8,6 +8,7 @@ second file given with ``--model`` overlays extra domains and relation rows.
 Exit status is 0 when the queried property holds (or the command simply
 succeeds), 1 when it does not hold, and 2 on malformed input.  ``--timings``
 writes the seconds spent loading (both files) and in the command to stderr.
+Files are read and stdout is written as UTF-8, whatever the locale.
 
 The argparse tree is built once per process, on the first ``main`` call, and
 reused by every later call: ``parse_args`` returns a fresh namespace and
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from time import perf_counter
@@ -288,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    out = sys.stdout
+    if isinstance(out, io.TextIOWrapper) and out.encoding != "utf-8":
+        out.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         start = perf_counter()

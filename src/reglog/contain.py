@@ -92,24 +92,24 @@ def equivalent(left: GraphicalTerm, right: GraphicalTerm) -> bool:
 
 
 def minimize_core(term: GraphicalTerm) -> GraphicalTerm:
-    """Greedily delete cells while the term stays equivalent to the original.
+    """Delete cells while the term stays equivalent to the original.
 
-    Dots orphaned by a deletion are absorbed into the support, which the full
-    support convention already contains, so equivalence is preserved exactly
-    when the containment check in both directions says so.  Greedy deletion
-    reaches a local minimum; it is not guaranteed to be globally smallest.
+    Dropping a cell only weakens a term (orphaned dots are absorbed into the
+    support, which the full support convention already contains), so a
+    candidate is equivalent exactly when it contains the current term.  One
+    scan suffices: a cell that cannot be dropped stays undroppable after
+    later drops, because if C minus cells i and j is equivalent to C, so is C
+    minus j alone.  A term with no droppable cell is a core, and cores are
+    unique up to isomorphism, so the result has the fewest cells of any term
+    equivalent to the input.
     """
     current = flatten(term)
-    changed = True
-    while changed:
-        changed = False
-        for slot in range(len(current.cells)):
-            # drop_cell returns a flat, normalized term: no need to flatten it.
-            candidate = drop_cell(current, slot)
-            if _contains_flat(candidate, current) and _contains_flat(
-                current, candidate
-            ):
-                current = candidate
-                changed = True
-                break
+    slot = 0
+    while slot < len(current.cells):
+        # drop_cell returns a flat, normalized term: no need to flatten it.
+        candidate = drop_cell(current, slot)
+        if _contains_flat(candidate, current):
+            current = candidate
+        else:
+            slot += 1
     return current

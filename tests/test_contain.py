@@ -310,3 +310,26 @@ class TestMinimize:
             assert equivalent(core, t)
             assert minimize_core(core) == core
             assert len(core.cells) <= len(flatten(t).cells)
+
+    def test_cores_have_the_fewest_cells_of_any_equivalent_subterm(self):
+        # Every subset of the cells of seeded terms with up to 6 cells: the
+        # smallest one equivalent to the term is exactly as large as the core.
+        rng = Random(613)
+        checked = shrunk = 0
+        while checked < 60:
+            flat = flatten(rand_term(rng, depth=2, max_cells=4))
+            n = len(flat.cells)
+            if not 2 <= n <= 6:
+                continue
+            smallest = n
+            for keep in range(2**n - 1):
+                sub = flat
+                for slot in reversed(range(n)):
+                    if not keep >> slot & 1:
+                        sub = drop_cell(sub, slot)
+                if contains(sub, flat):  # flat always contains sub
+                    smallest = min(smallest, bin(keep).count("1"))
+            assert len(minimize_core(flat).cells) == smallest
+            checked += 1
+            shrunk += smallest < n
+        assert shrunk >= 10, shrunk

@@ -21,6 +21,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from random import Random
 
 import pytest
@@ -610,6 +611,44 @@ class TestCli:
             b"error: fundamental census of 5x5 = 25 cells is over the limit of "
             b"16 cells\n"
         )
+
+    def test_axioms_refuses_a_large_bound_before_allocating(self, tmp_path):
+        # At arity 3 an object has 125 rows, and the law suite would tensor it
+        # into about 2 million rows: gigabytes without the limit.
+        path = write_ws(
+            tmp_path,
+            "type x, y;\ndomain x = {a, b, c, d, e};\ndomain y = {p, q, r, s, t};\n",
+        )
+        cap = 700 << 20
+        start = time.perf_counter()
+        proc = run_module(
+            path,
+            "axioms",
+            "--bound",
+            "3",
+            timeout=5,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"error: axioms at arity 3: an object of 125 rows cubes to 1953125 "
+            b"rows, over the limit of 50000\n"
+        )
+
+    def test_non_ascii_output_under_the_c_locale(self):
+        proc = run_module(
+            ROOT / "corpus" / "shell_three_ports.rl",
+            "formula",
+            "main",
+            LC_ALL="C",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONUTF8="0",
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = ROOT / "corpus" / "expected" / "shell_three_ports.formula.txt"
+        assert proc.stdout == expected.read_bytes()
+        assert not proc.stdout.isascii()
 
     def test_timings_go_to_stderr_only(self, tmp_path, capsys):
         path = write_ws(tmp_path)

@@ -493,6 +493,118 @@ class TestAgainstRowOracle:
             assert (obj.predicate.tuples, incl.rows) == oracle_equalizer(t1, t1b)
 
 
+def criterion_model():
+    return mk_model(
+        {"x": ("0", "1"), "y": ("0", "1")},
+        {"R": mk_context(("x", "x")), "S": mk_context(("x", "y"))},
+        {"R": (("0", "1"), ("1", "1")), "S": (("0", "0"), ("1", "0"))},
+    )
+
+
+def broken_mu(o):
+    return mk_internal_relation(oplus_obj(o, o), o, [])
+
+
+def broken_pullback(t1, t2):
+    # keep the honest apex but forget the first projection entirely
+    apex, _, p2 = pullback_ir(t1, t2)
+    return apex, mk_internal_relation(apex, t1.dom, []), p2
+
+
+def broken_equalizer(t1, t2):
+    # keep the honest equalizer object but let its inclusion drop its rows
+    obj, _ = equalizer_ir(t1, t2)
+    return obj, mk_internal_relation(obj, t1.dom, [])
+
+
+def broken_image(rel):
+    # keep the honest epi but let the mono drop its rows
+    epi, mono = image_ir(rel)
+    return epi, mk_internal_relation(mono.dom, mono.cod, [])
+
+
+def broken_classify(rel):
+    # Calling every relation a function puts nested relations among the
+    # functions, so their order is no longer discrete.
+    return Classification(True, True)
+
+
+SABOTAGES = {
+    "mu": ("mu_ir", broken_mu),
+    "pullback": ("pullback_ir", broken_pullback),
+    "equalizer": ("equalizer_ir", broken_equalizer),
+    "image": ("image_ir", broken_image),
+    "classify": ("classify", broken_classify),
+}
+
+# Case count of every check, in report order, on the criterion-7 model at
+# TestAxiomSuite.SMALL.
+PINNED_CASES = {
+    "frobenius_special_per_object": 144,
+    "adjoint_monoid_inequalities": 96,
+    "terminal_map_unique": 24,
+    "subobject_lattice_size": 24,
+    "validity_equals_frame_condition": 496,
+    "function_characterizations_agree": 496,
+    "order_on_functions_discrete": 288,
+    "entailments_sharpen_to_equalities": 496,
+    "transpose_involutive": 496,
+    "composition_unital": 496,
+    "left_adjoints_are_the_functions": 57,
+    "composition_associative": 65536,
+    "pullback_square_commutes": 320,
+    "pullback_mediator_unique": 3040,
+    "regular_epi_pullback_stable": 128,
+    "equalizer_universal": 504,
+    "image_factorization": 32,
+    "regular_epi_mono_orthogonal": 232,
+}
+
+# Per sabotage: the case counts that differ from PINNED_CASES, and the first
+# witness of every failing check; every other check passes without one.
+PINNED_FAILURES = {
+    "clean": ({}, {}),
+    "mu": (
+        {},
+        {
+            "frobenius_special_per_object": "object ((), 1 rows)",
+            "adjoint_monoid_inequalities": "object ((), 1 rows)",
+        },
+    ),
+    "pullback": (
+        {},
+        {
+            "pullback_square_commutes":
+                "cospan ((), 1 rows) -> ((), 1 rows) <- ((), 1 rows)",
+            "pullback_mediator_unique":
+                "cone ((), 1 rows) over ((), 1 rows) -> ((), 1 rows) <- ((), 1 rows)",
+            "regular_epi_pullback_stable":
+                "cospan ((), 1 rows) -> ((), 1 rows) <- ((), 1 rows)",
+        },
+    ),
+    # the first failing pair skips its mediators; later failing pairs do not
+    "equalizer": (
+        {"equalizer_universal": 500},
+        {"equalizer_universal": "parallel pair ((), 1 rows) -> ((), 1 rows)"},
+    ),
+    "image": (
+        {},
+        {"image_factorization": "function ((), 1 rows) -> ((), 1 rows)"},
+    ),
+    "classify": (
+        {"order_on_functions_discrete": 1040},
+        {
+            "terminal_map_unique": "object ((), 1 rows): 2 maps to the point",
+            "order_on_functions_discrete": "((), 1 rows) -> ((), 1 rows)",
+            "entailments_sharpen_to_equalities":
+                "((), 1 rows) -> ((), 0 rows), rows []",
+            "left_adjoints_are_the_functions":
+                "((), 1 rows) -> ((), 0 rows), rows []",
+        },
+    ),
+}
+
+
 class TestAxiomSuite:
     SMALL = AxiomBounds(max_arity=1, hom_arity=1, max_tuple_space=4, limit_objects=4)
 
@@ -503,6 +615,13 @@ class TestAxiomSuite:
         assert all(c.cases > 0 for c in report.checks)
         payload = report.as_dict()
         assert payload["ok"] is True
+        assert list(payload) == ["ok", "bounds", "checks"]
+        assert payload["bounds"] == {
+            "max_arity": 1, "hom_arity": 1, "max_tuple_space": 4, "limit_objects": 4
+        }
+        assert [list(c) for c in payload["checks"]] == [
+            ["name", "ok", "cases", "witness", "seconds"]
+        ] * 18
         assert {c["name"] for c in payload["checks"]} == {
             c.name for c in report.checks
         }
@@ -520,11 +639,45 @@ class TestAxiomSuite:
         lines = report.summary().splitlines()
         assert len(lines) >= 18
 
-    def test_broken_merge_is_reported_with_witness(self, monkeypatch):
-        def borked(o):
-            return mk_internal_relation(oplus_obj(o, o), o, [])
+    @pytest.mark.parametrize("sabotage", list(PINNED_FAILURES))
+    def test_reports_are_pinned(self, sabotage, monkeypatch):
+        # Name, verdict, case count and first witness of every check, exactly.
+        if sabotage != "clean":
+            monkeypatch.setattr(syncat, *SABOTAGES[sabotage])
+        counts, witnesses = PINNED_FAILURES[sabotage]
+        expected = [
+            (name, name not in witnesses, counts.get(name, cases),
+             witnesses.get(name, ""))
+            for name, cases in PINNED_CASES.items()
+        ]
+        report = check_regular_axioms(criterion_model(), self.SMALL)
+        assert [(c.name, c.ok, c.cases, c.witness) for c in report.checks] == expected
 
-        monkeypatch.setattr(syncat, "mu_ir", borked)
+    def test_refuses_large_bounds_before_building_anything(self, monkeypatch):
+        monkeypatch.setattr(syncat, "contexts_up_to", None)
+        wide = mk_model({"x": tuple("abcde"), "y": tuple("pqrst")}, {})
+        assert syncat.AXIOMS_MAX_ROWS == 50_000
+        with pytest.raises(
+            ReglogError,
+            match=r"arity 3: an object of 125 rows cubes to 1953125 rows, "
+            r"over the limit of 50000$",
+        ):
+            check_regular_axioms(wide, AxiomBounds(max_arity=3, hom_arity=3))
+        points = mk_model({"x": ("a",), "y": ("b",)}, {})
+        assert syncat.AXIOMS_MAX_CONTEXTS == 4096
+        with pytest.raises(
+            ReglogError,
+            match="arity 10 over 2 types may sweep more than the limit of "
+            "4096 contexts$",
+        ):
+            check_regular_axioms(points, AxiomBounds(max_arity=10, hom_arity=10))
+        # the default arity fits both budgets on these models
+        for model in (wide, points, criterion_model()):
+            syncat._refuse_large_bounds(model, AxiomBounds().max_arity)
+        syncat._refuse_large_bounds(points, 9)
+
+    def test_broken_merge_is_reported_with_witness(self, monkeypatch):
+        monkeypatch.setattr(syncat, *SABOTAGES["mu"])
         report = check_regular_axioms(pair_model(), self.SMALL)
         assert not report.ok
         failing = {c.name for c in report.checks if not c.ok}
@@ -533,12 +686,7 @@ class TestAxiomSuite:
         assert bad.witness
 
     def test_broken_pullback_is_reported_with_witness(self, monkeypatch):
-        def borked(t1, t2):
-            # keep the honest apex but forget the first projection entirely
-            apex, _, p2 = pullback_ir(t1, t2)
-            return apex, mk_internal_relation(apex, t1.dom, []), p2
-
-        monkeypatch.setattr(syncat, "pullback_ir", borked)
+        monkeypatch.setattr(syncat, *SABOTAGES["pullback"])
         report = check_regular_axioms(pair_model(), self.SMALL)
         assert not report.ok
         failing = {c.name for c in report.checks if not c.ok}
@@ -547,12 +695,7 @@ class TestAxiomSuite:
         assert bad.witness
 
     def test_broken_equalizer_is_reported_with_witness(self, monkeypatch):
-        def borked(t1, t2):
-            # keep the honest equalizer object but let its inclusion drop its rows
-            obj, _ = equalizer_ir(t1, t2)
-            return obj, mk_internal_relation(obj, t1.dom, [])
-
-        monkeypatch.setattr(syncat, "equalizer_ir", borked)
+        monkeypatch.setattr(syncat, *SABOTAGES["equalizer"])
         report = check_regular_axioms(pair_model(), self.SMALL)
         assert not report.ok
         failing = {c.name for c in report.checks if not c.ok}
@@ -561,12 +704,7 @@ class TestAxiomSuite:
         assert bad.witness
 
     def test_broken_image_is_reported_with_witness(self, monkeypatch):
-        def borked(rel):
-            # keep the honest epi but let the mono drop its rows
-            epi, mono = image_ir(rel)
-            return epi, mk_internal_relation(mono.dom, mono.cod, [])
-
-        monkeypatch.setattr(syncat, "image_ir", borked)
+        monkeypatch.setattr(syncat, *SABOTAGES["image"])
         report = check_regular_axioms(pair_model(), self.SMALL)
         assert not report.ok
         failing = {c.name for c in report.checks if not c.ok}
@@ -574,11 +712,8 @@ class TestAxiomSuite:
         bad = next(c for c in report.checks if c.name == "image_factorization")
         assert bad.witness
 
-
     def test_broken_classification_is_reported_with_witness(self, monkeypatch):
-        # Calling every relation a function puts nested relations among the
-        # functions, so their order is no longer discrete.
-        monkeypatch.setattr(syncat, "classify", lambda rel: Classification(True, True))
+        monkeypatch.setattr(syncat, *SABOTAGES["classify"])
         report = check_regular_axioms(pair_model(), self.SMALL)
         assert not report.ok
         bad = next(c for c in report.checks if c.name == "order_on_functions_discrete")
