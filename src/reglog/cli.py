@@ -290,9 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status.
+
+    A ``sys.stdout`` text file in another encoding is switched to UTF-8, with
+    its error handler kept, for the rest of the process.
+    """
     out = sys.stdout
     if isinstance(out, io.TextIOWrapper) and out.encoding != "utf-8":
-        out.reconfigure(encoding="utf-8")
+        out.reconfigure(encoding="utf-8", errors=out.errors)
     args = build_parser().parse_args(argv)
     try:
         start = perf_counter()

@@ -27,8 +27,8 @@ about functions.  Every failed check carries a witness, so a deliberately
 broken operation shows up with a concrete counterexample.  A check keeps only
 its first witness, in sweep order, but keeps counting every case it tries, so
 the case counts are the same whether the check passes or fails.  Bounds under
-which the sweeps would outgrow ``AXIOMS_MAX_CONTEXTS`` or ``AXIOMS_MAX_ROWS``
-are refused before anything is built.
+which the sweeps would pass ``AXIOMS_MAX_CONTEXTS`` contexts or
+``AXIOMS_MAX_MASK_BITS`` bits of masks are refused before anything is built.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import itertools
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
-from math import isqrt
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -556,7 +555,8 @@ def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[SynObject]:
         return len(family) >= bounds.limit_objects
 
     for c in contexts:
-        rows = true_rel(c, model).rows()[:2]
+        full = true_rel(c, model)
+        rows = full.rows()[:2]
         for k in range(len(rows), 0, -1):
             if push(_syn_object(c, rows[:k])):
                 return family
@@ -575,25 +575,35 @@ def _object_law_checks(objs: list[SynObject]) -> list[CheckResult]:
         mu = mu_ir(o)
         eps = bang(o)
         eta = eta_ir(o)
-        # comonoid: counit both sides, coassociativity, cocommutativity;
-        # then the Frobenius law and speciality
+        two = oplus_obj(o, o)
+        id2 = identity_ir(two)
+        # comonoid: counit both sides, coassociativity, cocommutativity
+        counit_l = compose_ir(delta, tensor_ir(eps, ident))
+        counit_r = compose_ir(delta, tensor_ir(ident, eps))
+        coassoc_l = compose_ir(delta, tensor_ir(delta, ident))
+        coassoc_r = compose_ir(delta, tensor_ir(ident, delta))
+        cocomm = compose_ir(delta, braid_ir(o, o))
+        frobenius_l = compose_ir(mu, delta)
+        frobenius_r = compose_ir(tensor_ir(ident, delta), tensor_ir(mu, ident))
+        special = compose_ir(delta, mu)
         laws = [
-            compose_ir(delta, tensor_ir(eps, ident)).masks == ident.masks,
-            compose_ir(delta, tensor_ir(ident, eps)).masks == ident.masks,
-            compose_ir(delta, tensor_ir(delta, ident)).masks
-            == compose_ir(delta, tensor_ir(ident, delta)).masks,
-            compose_ir(delta, braid_ir(o, o)).masks == delta.masks,
-            compose_ir(mu, delta).masks
-            == compose_ir(tensor_ir(ident, delta), tensor_ir(mu, ident)).masks,
-            compose_ir(delta, mu).masks == ident.masks,
+            counit_l.masks == ident.masks,
+            counit_r.masks == ident.masks,
+            coassoc_l.masks == coassoc_r.masks,
+            cocomm.masks == delta.masks,
+            frobenius_l.masks == frobenius_r.masks,
+            special.masks == ident.masks,
         ]
         if not frob.count(all(laws), len(laws)):
             frob.fail(f"object {o}")
         ineqs = [
             leq_ir(ident, compose_ir(delta, mu)),
-            leq_ir(compose_ir(mu, delta), identity_ir(oplus_obj(o, o))),
+            leq_ir(compose_ir(mu, delta), id2),
             leq_ir(ident, compose_ir(eps, eta)),
-            leq_ir(compose_ir(eta, eps), identity_ir(terminal_syn())),
+            leq_ir(
+                compose_ir(eta, eps),
+                identity_ir(terminal_syn()),
+            ),
         ]
         if not adjm.count(all(ineqs), len(ineqs)):
             adjm.fail(f"object {o}")
@@ -657,15 +667,20 @@ def _hom_sweep_checks(
                 right_unit = compose_ir(rel, id2)
                 if not unital.count(left_unit.masks == rel.masks == right_unit.masks):
                     unital.fail(f"{o1} -> {o2}")
-                # totality fills the left marginal; determinism makes
-                # x R y and x R y' force y = y'
-                sharp = not cls.total or rel.left_marginal() == full1
-                if sharp and cls.deterministic:
-                    pairs = list(rel.split_rows())
-                    sharp = {x + y + y for x, y in pairs} == {
-                        x + y + y2 for x, y in pairs for x2, y2 in pairs if x2 == x
-                    }
-                if not remark.count(sharp):
+                good = True
+                if cls.total and rel.left_marginal() != full1:
+                    good = False
+                if cls.deterministic:
+                    wide = set()
+                    thin = set()
+                    for x, y in rel.split_rows():
+                        thin.add(x + y + y)
+                        for x2, y2 in rel.split_rows():
+                            if x2 == x:
+                                wide.add(x + y + y2)
+                    if wide != thin:
+                        good = False
+                if not remark.count(good):
                     remark.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
                 if plain:
                     has_adjoint = any(
@@ -692,7 +707,10 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]
     chain_objs = []
     for c in contexts_up_to(model.domains.keys(), 1):
         if c.arity == 1 and not c.extra_support():
-            rows = true_rel(c, model).rows()[: isqrt(bounds.max_tuple_space)]
+            full = true_rel(c, model)
+            rows = full.rows()
+            while len(rows) * len(rows) > bounds.max_tuple_space:
+                rows = rows[:-1]
             chain_objs.append(_syn_object(c, rows))
     chain_objs = chain_objs[:2] or [terminal_syn()]
     for o1, o2, o3, o4 in itertools.product(chain_objs, repeat=4):
@@ -856,29 +874,35 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
     return [pb_exists, pb_unique, stability, eq_check, img, ortho]
 
 
-# Two one-atom types at arity 9 (4,092 by the count below) take about 5 s on
-# a 2-vCPU host; o (+) o (+) o of 46,656 rows peaks at about 50 MB.
-AXIOMS_MAX_CONTEXTS = 4096
-AXIOMS_MAX_ROWS = 50_000
+# The family of a context holds at most 2^max_tuple_space objects; the
+# 14,336 contexts of nine two-atom types at arity 2 took 87 MB to build.  For
+# an object of r rows, o (+) o (+) o carries r^2 masks of r^3 bits, and the
+# peak follows those r^5 bits: 84 rows, the most allowed, peaked at 566 MB
+# (one type at arity 1), 81 rows at 515 MB and 49 rows at 100 MB.
+AXIOMS_MAX_CONTEXTS = 16_384
+AXIOMS_MAX_MASK_BITS = 2**32
 
 
 def _refuse_large_bounds(model: ModelInstance, arity: int) -> None:
-    """Every context up to ``arity`` is swept, and each object is tensored
-    into o (+) o (+) o; both grow exponentially with the arity."""
-    types = len(model.domains)
+    """Raise before the context family or the masks of the Frobenius checks
+    pass the limits above; both grow exponentially with the arity."""
+    types = sorted(model.domains)
     contexts = 0
     for a in range(arity + 1):
-        contexts += 2**types * types**a  # typings, times every extra support
-        if contexts > AXIOMS_MAX_CONTEXTS:
-            raise ReglogError(
-                f"axioms at arity {arity} over {types} types may sweep more "
-                f"than the limit of {AXIOMS_MAX_CONTEXTS} contexts"
-            )
+        for typing in itertools.product(types, repeat=a):
+            # contexts_up_to adds every subset of the unused types as support
+            contexts += 2 ** (len(types) - len(set(typing)))
+            if contexts > AXIOMS_MAX_CONTEXTS:
+                raise ReglogError(
+                    f"axioms at arity {arity} over {len(types)} types sweeps "
+                    f"more than the limit of {AXIOMS_MAX_CONTEXTS} contexts"
+                )
     rows = max(map(len, model.domains.values()), default=0) ** max(arity, 0)
-    if rows**3 > AXIOMS_MAX_ROWS:
+    if rows**5 > AXIOMS_MAX_MASK_BITS:
         raise ReglogError(
-            f"axioms at arity {arity}: an object of {rows} rows cubes to "
-            f"{rows**3} rows, over the limit of {AXIOMS_MAX_ROWS}"
+            f"axioms at arity {arity}: an object of {rows} rows needs "
+            f"{rows**5 >> 23} MiB of masks for o (+) o (+) o, over the limit "
+            f"of {AXIOMS_MAX_MASK_BITS >> 23} MiB"
         )
 
 
@@ -969,9 +993,11 @@ def fundamental_check(
             f"fundamental census of {d1}x{d2} = {d1 * d2} cells is over the "
             f"limit of {FUNDAMENTAL_MAX_CELLS} cells"
         )
-    o1, o2 = (
-        SynObject(c, true_rel(c, model))
-        for c in (mk_context((left_type,)), mk_context((right_type,)))
+    o1 = SynObject(
+        mk_context((left_type,)), true_rel(mk_context((left_type,)), model)
+    )
+    o2 = SynObject(
+        mk_context((right_type,)), true_rel(mk_context((right_type,)), model)
     )
     rels = enumerate_relations(o1, o2)
     functions = [r for r in rels if classify(r).function]

@@ -632,8 +632,8 @@ class TestCli:
         assert time.perf_counter() - start < 1
         assert proc.returncode == 2
         assert proc.stderr == (
-            b"error: axioms at arity 3: an object of 125 rows cubes to 1953125 "
-            b"rows, over the limit of 50000\n"
+            b"error: axioms at arity 3: an object of 125 rows needs 3637 MiB of "
+            b"masks for o (+) o (+) o, over the limit of 512 MiB\n"
         )
 
     def test_non_ascii_output_under_the_c_locale(self):
@@ -649,6 +649,18 @@ class TestCli:
         expected = ROOT / "corpus" / "expected" / "shell_three_ports.formula.txt"
         assert proc.stdout == expected.read_bytes()
         assert not proc.stdout.isascii()
+
+    def test_stdout_is_switched_to_utf8_keeping_its_error_handler(
+        self, tmp_path, monkeypatch
+    ):
+        raw = io.BytesIO()
+        out = io.TextIOWrapper(raw, encoding="ascii", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main([write_ws(tmp_path), "validate"]) == 0
+        assert (out.encoding, out.errors) == ("utf-8", "surrogateescape")
+        print("\u2203 \udcff", file=out, end="")
+        out.flush()
+        assert raw.getvalue().endswith("\u2203 ".encode() + b"\xff")
 
     def test_timings_go_to_stderr_only(self, tmp_path, capsys):
         path = write_ws(tmp_path)

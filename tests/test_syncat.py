@@ -656,25 +656,52 @@ class TestAxiomSuite:
     def test_refuses_large_bounds_before_building_anything(self, monkeypatch):
         monkeypatch.setattr(syncat, "contexts_up_to", None)
         wide = mk_model({"x": tuple("abcde"), "y": tuple("pqrst")}, {})
-        assert syncat.AXIOMS_MAX_ROWS == 50_000
+        assert syncat.AXIOMS_MAX_MASK_BITS == 2**32
         with pytest.raises(
             ReglogError,
-            match=r"arity 3: an object of 125 rows cubes to 1953125 rows, "
-            r"over the limit of 50000$",
+            match=r"arity 3: an object of 125 rows needs 3637 MiB of masks for "
+            r"o \(\+\) o \(\+\) o, over the limit of 512 MiB$",
         ):
             check_regular_axioms(wide, AxiomBounds(max_arity=3, hom_arity=3))
         points = mk_model({"x": ("a",), "y": ("b",)}, {})
-        assert syncat.AXIOMS_MAX_CONTEXTS == 4096
+        assert syncat.AXIOMS_MAX_CONTEXTS == 16_384
         with pytest.raises(
             ReglogError,
-            match="arity 10 over 2 types may sweep more than the limit of "
-            "4096 contexts$",
+            match="arity 13 over 2 types sweeps more than the limit of "
+            "16384 contexts$",
         ):
-            check_regular_axioms(points, AxiomBounds(max_arity=10, hom_arity=10))
-        # the default arity fits both budgets on these models
-        for model in (wide, points, criterion_model()):
-            syncat._refuse_large_bounds(model, AxiomBounds().max_arity)
-        syncat._refuse_large_bounds(points, 9)
+            check_regular_axioms(points, AxiomBounds(max_arity=13, hom_arity=13))
+
+    @pytest.mark.parametrize(
+        "types, atoms, arity, refused",
+        [
+            (1, 84, 1, False),  # 84^5 bits, just under 2^32
+            (1, 85, 1, True),
+            (1, 9, 2, False),  # 81 rows at the default arity
+            (1, 10, 2, True),
+            (9, 1, 2, False),  # 14,336 contexts at the default arity
+            (10, 1, 2, True),  # 34,304
+            (2, 1, 12, False),  # 8,218
+            (2, 1, 13, True),  # 16,412: the count is exact, not a bound
+        ],
+    )
+    def test_budgets_cut_where_they_say(self, types, atoms, arity, refused):
+        domains = {
+            f"t{k}": tuple(f"a{k}_{i}" for i in range(atoms)) for k in range(types)
+        }
+        model = mk_model(domains, {})
+        if refused:
+            with pytest.raises(ReglogError, match="the limit of"):
+                syncat._refuse_large_bounds(model, arity)
+        else:
+            syncat._refuse_large_bounds(model, arity)
+
+    def test_a_seven_atom_domain_passes_at_the_default_bounds(self):
+        # 49-row objects: the masks of o (+) o (+) o are about 35 MB
+        model = mk_model({"x": tuple("abcdefg")}, {})
+        report = check_regular_axioms(model)
+        assert report.ok, report.summary()
+        assert len(report.checks) == 18
 
     def test_broken_merge_is_reported_with_witness(self, monkeypatch):
         monkeypatch.setattr(syncat, *SABOTAGES["mu"])
