@@ -26,9 +26,16 @@ the per-object copy/merge/discard/spawn laws, and the order-theoretic facts
 about functions.  Every failed check carries a witness, so a deliberately
 broken operation shows up with a concrete counterexample.  A check keeps only
 its first witness, in sweep order, but keeps counting every case it tries, so
-the case counts are the same whether the check passes or fails.  Bounds under
-which the sweeps would pass ``AXIOMS_MAX_CONTEXTS`` contexts or
-``AXIOMS_MAX_MASK_BITS`` bits of masks are refused before anything is built.
+the case counts are the same whether the check passes or fails.  Negative
+bounds, and bounds under which the sweeps would pass ``AXIOMS_MAX_CONTEXTS``
+contexts or ``AXIOMS_MAX_MASK_BITS`` bits of masks, are refused before
+anything is built.
+
+Where a sweep reads only the masks of a composite, it composes the bare masks
+with ``_compose`` instead of building a relation to throw away.  The sweeps
+still call ``mu_ir``, ``pullback_ir``, ``equalizer_ir``, ``image_ir`` and
+``classify`` through the module, so a broken replacement of any of them shows
+up in the report.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .context import Context, mk_context, oplus, terminal_ctx
 from .errors import CompositionError, ReglogError, ValidationError
@@ -106,8 +113,7 @@ def oplus_obj(left: SynObject, right: SynObject) -> SynObject:
     )
 
 
-@dataclass(frozen=True)
-class InternalRelation:
+class InternalRelation(NamedTuple):
     """A relation ``dom -> cod`` whose marginals respect the endpoint predicates.
 
     ``masks`` holds one bitmask per row of ``dom.sorted_rows``; bit ``j`` of
@@ -117,6 +123,10 @@ class InternalRelation:
     operations of this module build their results directly, because they
     preserve the encoding.  ``rows``, :meth:`split_rows` and
     :meth:`left_marginal` decode the masks back into tuples.
+
+    A named tuple: immutable, hashable and compared by value like a frozen
+    dataclass, but cheaper to build, which counts in the law suite.  As a
+    tuple it also equals the plain tuple ``(dom, cod, masks)``.
     """
 
     dom: SynObject
@@ -160,21 +170,25 @@ def identity_ir(o: SynObject) -> InternalRelation:
     return InternalRelation(o, o, o.identity_masks)
 
 
-def compose_ir(first: InternalRelation, second: InternalRelation) -> InternalRelation:
-    """Relational join ``first ; second``: each row of ``first`` ORs together
-    the masks of the middle rows it reaches."""
-    if first.cod is not second.dom and first.cod != second.dom:
-        raise CompositionError("middle objects differ")
-    after = second.masks
+def _compose(before: tuple[int, ...], after: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of a join: each row of ``before`` ORs together the rows of
+    ``after`` at its set bits."""
     masks = []
-    for mask in first.masks:
+    for mask in before:
         reached = 0
         while mask:
             low = mask & -mask
             reached |= after[low.bit_length() - 1]
             mask ^= low
         masks.append(reached)
-    return InternalRelation(first.dom, second.cod, tuple(masks))
+    return tuple(masks)
+
+
+def compose_ir(first: InternalRelation, second: InternalRelation) -> InternalRelation:
+    """Relational join ``first ; second`` on the shared middle object."""
+    if first.cod is not second.dom and first.cod != second.dom:
+        raise CompositionError("middle objects differ")
+    return InternalRelation(first.dom, second.cod, _compose(first.masks, second.masks))
 
 
 def transpose_ir(rel: InternalRelation) -> InternalRelation:
@@ -189,13 +203,17 @@ def transpose_ir(rel: InternalRelation) -> InternalRelation:
 
 
 def leq_ir(lower: InternalRelation, upper: InternalRelation) -> bool:
-    if lower.dom != upper.dom or lower.cod != upper.cod:
+    if (lower.dom is not upper.dom and lower.dom != upper.dom) or (
+        lower.cod is not upper.cod and lower.cod != upper.cod
+    ):
         raise CompositionError("ordering compares parallel relations")
     return not any(a & ~b for a, b in zip(lower.masks, upper.masks))
 
 
 def meet_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
-    if a.dom != b.dom or a.cod != b.cod:
+    if (a.dom is not b.dom and a.dom != b.dom) or (
+        a.cod is not b.cod and a.cod != b.cod
+    ):
         raise CompositionError("meet needs parallel relations")
     return InternalRelation(
         a.dom, a.cod, tuple(x & y for x, y in zip(a.masks, b.masks))
@@ -283,6 +301,11 @@ def is_function(rel: InternalRelation) -> bool:
     return classify(rel).function
 
 
+def _one_bit_per_row(rel: InternalRelation) -> bool:
+    """The row route alone: total and deterministic, for validating inputs."""
+    return all(mask and not mask & (mask - 1) for mask in rel.masks)
+
+
 def graph_ir(
     dom: SynObject, cod: SynObject, mapping: dict[tuple[str, ...], tuple[str, ...]]
 ) -> InternalRelation:
@@ -301,32 +324,37 @@ def enumerate_functions(dom: SynObject, cod: SynObject) -> list[InternalRelation
     ]
 
 
-def enumerate_relations(dom: SynObject, cod: SynObject) -> list[InternalRelation]:
+def _relations(dom: SynObject, cod: SynObject) -> Iterator[InternalRelation]:
     """All internal relations ``dom -> cod`` (subsets with good marginals),
-    smallest first, then lexicographic in the sorted concatenated rows.
+    one at a time, smallest first, then lexicographic in the sorted
+    concatenated rows.
 
     Position ``p`` of the ``|dom| * |cod|`` cells is the pair
     ``(p // |cod|, p % |cod|)``, which is also where ``x + y`` sorts.
     """
     nx, ny = len(dom.predicate), len(cod.predicate)
     cells = [(p // ny, 1 << (p % ny)) for p in range(nx * ny)]
-    out = []
     for k in range(len(cells) + 1):
         for chosen in itertools.combinations(cells, k):
             masks = [0] * nx
             for i, bit in chosen:
                 masks[i] |= bit
-            out.append(InternalRelation(dom, cod, tuple(masks)))
-    return out
+            yield InternalRelation(dom, cod, tuple(masks))
+
+
+def enumerate_relations(dom: SynObject, cod: SynObject) -> list[InternalRelation]:
+    """The list of all internal relations ``dom -> cod``, in the order of
+    :func:`_relations`."""
+    return list(_relations(dom, cod))
 
 
 def pullback_ir(
     t1: InternalRelation, t2: InternalRelation
 ) -> tuple[SynObject, InternalRelation, InternalRelation]:
     """Pullback of two internal functions along their shared codomain."""
-    if t1.cod != t2.cod:
+    if t1.cod is not t2.cod and t1.cod != t2.cod:
         raise CompositionError("pullback needs a cospan")
-    if not (is_function(t1) and is_function(t2)):
+    if not (_one_bit_per_row(t1) and _one_bit_per_row(t2)):
         raise ValidationError("pullback is taken over internal functions")
     # (i, k) in this order is also the sorted order of the apex rows
     pairs = [
@@ -374,9 +402,11 @@ def equalizer_ir(
     t1: InternalRelation, t2: InternalRelation
 ) -> tuple[SynObject, InternalRelation]:
     """Equalizer of parallel internal functions: where the two images agree."""
-    if t1.dom != t2.dom or t1.cod != t2.cod:
+    if (t1.dom is not t2.dom and t1.dom != t2.dom) or (
+        t1.cod is not t2.cod and t1.cod != t2.cod
+    ):
         raise CompositionError("equalizer needs parallel relations")
-    if not (is_function(t1) and is_function(t2)):
+    if not (_one_bit_per_row(t1) and _one_bit_per_row(t2)):
         raise ValidationError("equalizer is taken over internal functions")
     agree = [i for i, (a, b) in enumerate(zip(t1.masks, t2.masks)) if a & b]
     xs = t1.dom.sorted_rows
@@ -405,7 +435,7 @@ def image_ir(
 
 
 def is_mono_ir(rel: InternalRelation) -> bool:
-    return compose_ir(rel, transpose_ir(rel)).masks == identity_ir(rel.dom).masks
+    return _compose(rel.masks, transpose_ir(rel).masks) == rel.dom.identity_masks
 
 
 def is_regular_epi_ir(rel: InternalRelation) -> bool:
@@ -647,6 +677,7 @@ def _hom_sweep_checks(
                 continue
             full1 = o1.predicate.tuples
             id1, id2 = identity_ir(o1), identity_ir(o2)
+            ones1, ones2 = o1.identity_masks, o2.identity_masks
             # the adjoint-existence route, with the candidate adjoint
             # enumerated, runs on the pairs without extra support
             plain = not (o1.context.extra_support() or o2.context.extra_support())
@@ -654,9 +685,8 @@ def _hom_sweep_checks(
             functions = []
             for rel in enumerate_relations(o1, o2):
                 # frame condition: squeezing between the identities is a no-op
-                left_unit = compose_ir(id1, rel)
-                squeezed = compose_ir(left_unit, id2)
-                if not validity.count(squeezed.masks == rel.masks):
+                left_unit = _compose(ones1, rel.masks)
+                if not validity.count(_compose(left_unit, ones2) == rel.masks):
                     validity.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
                 cls = classify(rel)  # raises if the two routes disagree
                 threeway.count(True)
@@ -664,8 +694,8 @@ def _hom_sweep_checks(
                     functions.append(rel)
                 if not invol.count(transpose_ir(transpose_ir(rel)).masks == rel.masks):
                     invol.fail(f"{o1} -> {o2}")
-                right_unit = compose_ir(rel, id2)
-                if not unital.count(left_unit.masks == rel.masks == right_unit.masks):
+                right_unit = _compose(rel.masks, ones2)
+                if not unital.count(left_unit == rel.masks == right_unit):
                     unital.fail(f"{o1} -> {o2}")
                 good = True
                 if cls.total and rel.left_marginal() != full1:
@@ -717,20 +747,20 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]
         as_ = enumerate_relations(o1, o2)
         bs = enumerate_relations(o2, o3)
         cs = enumerate_relations(o3, o4)
-        bcs = [[compose_ir(b, c) for c in cs] for b in bs]
+        bcs = [[_compose(b.masks, c.masks) for c in cs] for b in bs]
         # (a;b);c depends on a;b only through its masks, and a;(b;c) on b;c
         lhs_of: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         rhs_of: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         for a_idx, a in enumerate(as_):
             for b, b_then in zip(bs, bcs):
-                ab = compose_ir(a, b)
+                ab = _compose(a.masks, b.masks)
                 for c_idx, (c, bc) in enumerate(zip(cs, b_then)):
-                    lhs = lhs_of.get((ab.masks, c_idx))
+                    lhs = lhs_of.get((ab, c_idx))
                     if lhs is None:
-                        lhs = lhs_of[ab.masks, c_idx] = compose_ir(ab, c).masks
-                    rhs = rhs_of.get((a_idx, bc.masks))
+                        lhs = lhs_of[ab, c_idx] = _compose(ab, c.masks)
+                    rhs = rhs_of.get((a_idx, bc))
                     if rhs is None:
-                        rhs = rhs_of[a_idx, bc.masks] = compose_ir(a, bc).masks
+                        rhs = rhs_of[a_idx, bc] = _compose(a.masks, bc)
                     if not check.count(lhs == rhs):
                         check.fail(f"{o1} -> {o2} -> {o3} -> {o4}")
                         return [check]
@@ -746,7 +776,9 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
             funcs[i, j] = enumerate_functions(a, b)
     # after[x, i, k][p][q]: the masks of funcs[x, i][p] ; funcs[i, k][q]
     after = {
-        (x, i, k): [[compose_ir(u, t).masks for t in funcs[i, k]] for u in funcs[x, i]]
+        (x, i, k): [
+            [_compose(u.masks, t.masks) for t in funcs[i, k]] for u in funcs[x, i]
+        ]
         for x in range(n)
         for i in range(n)
         for k in range(n)
@@ -762,7 +794,7 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                     for q2, t2 in enumerate(funcs[j, k]):
                         apex, p1, p2 = pullback_ir(t1, t2)
                         if not pb_exists.count(
-                            compose_ir(p1, t1).masks == compose_ir(p2, t2).masks
+                            _compose(p1.masks, t1.masks) == _compose(p2.masks, t2.masks)
                             and is_function(p1)
                             and is_function(p2)
                         ):
@@ -772,27 +804,23 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                         ):
                             stability.fail(f"cospan {o1} -> {o} <- {o2}")
                         for x_idx, x in enumerate(family):
-                            legs = None
+                            # the mediators of each pair of legs, in order
+                            by_legs = None
                             for u1, lead in zip(funcs[x_idx, i], after[x_idx, i, k]):
                                 for u2, other in zip(
                                     funcs[x_idx, j], after[x_idx, j, k]
                                 ):
                                     if lead[q1] != other[q2]:
                                         continue
-                                    if legs is None:
-                                        legs = [
-                                            (
-                                                compose_ir(m, p1).masks,
-                                                compose_ir(m, p2).masks,
-                                                m.masks,
+                                    if by_legs is None:
+                                        by_legs = {}
+                                        for m in enumerate_functions(x, apex):
+                                            key = (
+                                                _compose(m.masks, p1.masks),
+                                                _compose(m.masks, p2.masks),
                                             )
-                                            for m in enumerate_functions(x, apex)
-                                        ]
-                                    mediators = [
-                                        m
-                                        for r1, r2, m in legs
-                                        if r1 == u1.masks and r2 == u2.masks
-                                    ]
+                                            by_legs.setdefault(key, []).append(m.masks)
+                                    mediators = by_legs.get((u1.masks, u2.masks), [])
                                     if not pb_unique.count(
                                         mediators == [pair_ir(u1, u2, apex).masks]
                                     ):
@@ -806,10 +834,8 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
             for q1, t1 in enumerate(funcs[i, j]):
                 for q2, t2 in enumerate(funcs[i, j]):
                     obj, incl = equalizer_ir(t1, t2)
-                    good = (
-                        is_mono_ir(incl)
-                        and compose_ir(incl, t1).masks == compose_ir(incl, t2).masks
-                    )
+                    on_t1 = _compose(incl.masks, t1.masks)
+                    good = is_mono_ir(incl) and on_t1 == _compose(incl.masks, t2.masks)
                     # only the first failing pair skips its mediators
                     if not eq_check.count(good) and eq_check.ok:
                         eq_check.fail(f"parallel pair {o1} -> {o2}")
@@ -821,7 +847,7 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                                 continue
                             if legs is None:
                                 legs = [
-                                    compose_ir(m, incl).masks
+                                    _compose(m.masks, incl.masks)
                                     for m in enumerate_functions(x, obj)
                                 ]
                             if not eq_check.count(legs.count(u.masks) == 1):
@@ -837,7 +863,7 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
         for t in fs:
             epi, mono = image_ir(t)
             if not img.count(
-                compose_ir(epi, mono).masks == t.masks
+                _compose(epi.masks, mono.masks) == t.masks
                 and is_regular_epi_ir(epi)
                 and is_mono_ir(mono)
                 and is_function(epi)
@@ -854,16 +880,16 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
         for m in monos:
             fs = enumerate_functions(e.dom, m.dom)
             gs = enumerate_functions(e.cod, m.cod)
-            e_then = [compose_ir(e, g).masks for g in gs]
+            e_then = [_compose(e.masks, g.masks) for g in gs]
             legs = None
             for f in fs:
-                fm = compose_ir(f, m)
+                fm = _compose(f.masks, m.masks)
                 for g, eg in zip(gs, e_then):
-                    if eg != fm.masks:
+                    if eg != fm:
                         continue
                     if legs is None:
                         legs = [
-                            (compose_ir(e, h).masks, compose_ir(h, m).masks)
+                            (_compose(e.masks, h.masks), _compose(h.masks, m.masks))
                             for h in enumerate_functions(e.cod, m.dom)
                         ]
                     if not ortho.count(legs.count((f.masks, g.masks)) == 1):
@@ -913,10 +939,14 @@ def check_regular_axioms(
 
     Each check's ``seconds`` is the wall time of the sweep that computed it;
     checks computed in one sweep share that sweep's time.  Raises
-    ``ReglogError``, before building anything, when ``max_arity`` is too
-    large for the model (see ``_refuse_large_bounds``).
+    ``ReglogError``, before building anything, when a bound is negative
+    (most sweeps would then try no case and pass unearned) or when
+    ``max_arity`` is too large for the model (see ``_refuse_large_bounds``).
     """
     bounds = bounds or AxiomBounds()
+    negative = [name for name, value in asdict(bounds).items() if value < 0]
+    if negative:
+        raise ReglogError(f"axiom bounds must not be negative: {', '.join(negative)}")
     _refuse_large_bounds(model, bounds.max_arity)
     report = AxiomReport(bounds)
     objs = _objects_for(model, bounds.max_arity, bounds.max_tuple_space)
@@ -985,8 +1015,8 @@ def fundamental_check(
 ) -> FundamentalReport:
     """Relations between full one-port objects are subsets of the product of
     domains; functions are exactly the graphs of maps between the domains.
-    It lists all 2^(|D|*|D'|) relations, so it refuses more cells than
-    ``FUNDAMENTAL_MAX_CELLS``."""
+    It classifies all 2^(|D|*|D'|) relations, one at a time, so it refuses
+    more cells than ``FUNDAMENTAL_MAX_CELLS``."""
     d1, d2 = len(model.domain(left_type)), len(model.domain(right_type))
     if d1 * d2 > FUNDAMENTAL_MAX_CELLS:
         raise ReglogError(
@@ -999,17 +1029,19 @@ def fundamental_check(
     o2 = SynObject(
         mk_context((right_type,)), true_rel(mk_context((right_type,)), model)
     )
-    rels = enumerate_relations(o1, o2)
-    functions = [r for r in rels if classify(r).function]
-    graphs = all(
-        len(r.rows) == len(r.left_marginal()) == d1 for r in functions
-    )
+    relations = functions = 0
+    graphs = True
+    for r in _relations(o1, o2):
+        relations += 1
+        if classify(r).function:
+            functions += 1
+            graphs = graphs and len(r.rows) == len(r.left_marginal()) == d1
     return FundamentalReport(
         left_type,
         right_type,
-        len(rels),
+        relations,
         2 ** (d1 * d2),
-        len(functions),
+        functions,
         d2**d1,
         graphs,
     )

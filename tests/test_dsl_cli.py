@@ -636,6 +636,14 @@ class TestCli:
             b"masks for o (+) o (+) o, over the limit of 512 MiB\n"
         )
 
+    def test_axioms_refuses_a_negative_bound(self, tmp_path):
+        proc = run_module(write_ws(tmp_path), "axioms", "--bound", "-1", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: axiom bounds must not be negative: max_arity, hom_arity\n"
+        )
+
     def test_non_ascii_output_under_the_c_locale(self):
         proc = run_module(
             ROOT / "corpus" / "shell_three_ports.rl",

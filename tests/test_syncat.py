@@ -15,6 +15,7 @@ import itertools
 import re
 import subprocess
 import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -123,6 +124,25 @@ class TestObjects:
         p = oplus_obj(O2, O1)
         assert p.context == oplus(O2.context, O1.context)
         assert p.predicate.rows() == [("0", "0"), ("1", "0")]
+
+    def test_relations_are_immutable_values(self):
+        a = mk_internal_relation(O2, O2, [("0", "1")])
+        b = mk_internal_relation(O2, O2, [("0", "1")])
+        c = mk_internal_relation(O2, O2, [("1", "1")])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.masks == (2, 0) and c.masks == (0, 2)
+        assert a != c and len({a, b, c}) == 2
+        # a named tuple, so it also equals the plain tuple of its fields
+        assert a == (O2, O2, (2, 0))
+        for name, value in (("dom", O1), ("cod", O1), ("masks", (0, 0))):
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+        assert a == b and a.masks == (2, 0)
+        assert re.fullmatch(
+            r"InternalRelation\(dom=SynObject\(.*\), cod=SynObject\(.*\), "
+            r"masks=\(2, 0\)\)",
+            repr(a),
+        )
 
     def test_relation_marginals_are_validated(self):
         with pytest.raises(ValidationError):
@@ -356,6 +376,19 @@ class TestLimits:
     def test_pullback_rejects_non_functions(self):
         with pytest.raises(ValidationError):
             pullback_ir(eta_ir(O2), identity_ir(O2))
+
+    def test_limits_reject_partial_and_nondeterministic_inputs(self):
+        f = graph_ir(O2, O2, {("0",): ("0",), ("1",): ("1",)})
+        partial = mk_internal_relation(O2, O2, [("0", "0")])
+        both = mk_internal_relation(O2, O2, [("0", "0"), ("0", "1"), ("1", "1")])
+        limits = {"pullback": pullback_ir, "equalizer": equalizer_ir}
+        for bad in (partial, both):
+            assert not is_function(bad)
+            for t1, t2 in ((bad, f), (f, bad)):
+                for name, limit in limits.items():
+                    message = f"^{name} is taken over internal functions$"
+                    with pytest.raises(ValidationError, match=message):
+                        limit(t1, t2)
 
     def test_pair_into_pullback_is_the_mediator(self):
         f = graph_ir(O2, O2, {("0",): ("0",), ("1",): ("1",)})
@@ -673,6 +706,21 @@ class TestAxiomSuite:
             check_regular_axioms(points, AxiomBounds(max_arity=13, hom_arity=13))
 
     @pytest.mark.parametrize(
+        "field", ["max_arity", "hom_arity", "max_tuple_space", "limit_objects"]
+    )
+    def test_refuses_negative_bounds_before_building_anything(
+        self, field, monkeypatch
+    ):
+        # at arity -1 there is no context, so most checks would pass on 0 cases
+        for name in ("_refuse_large_bounds", "contexts_up_to", "terminal_syn"):
+            monkeypatch.setattr(syncat, name, None)
+        bounds = AxiomBounds(**{field: -1})
+        with pytest.raises(
+            ReglogError, match=f"^axiom bounds must not be negative: {field}$"
+        ):
+            check_regular_axioms(criterion_model(), bounds)
+
+    @pytest.mark.parametrize(
         "types, atoms, arity, refused",
         [
             (1, 84, 1, False),  # 84^5 bits, just under 2^32
@@ -805,6 +853,7 @@ class TestFundamental:
     def test_refuses_a_census_over_the_cell_limit(self, monkeypatch):
         # Checked before anything is built: no relation is enumerated.
         monkeypatch.setattr(syncat, "enumerate_relations", None)
+        monkeypatch.setattr(syncat, "_relations", None)
         m = mk_model({"x": tuple("abcde"), "y": tuple("pqrst")}, {})
         assert syncat.FUNDAMENTAL_MAX_CELLS == 16
         with pytest.raises(ReglogError, match="5x5 = 25 cells .* limit of 16 cells"):
@@ -812,6 +861,19 @@ class TestFundamental:
         wide = mk_model({"x": ("a",), "y": tuple("abcdefghijklmnopq")}, {})
         with pytest.raises(ReglogError, match="1x17 = 17 cells"):
             fundamental_check(wide, "x", "y")
+
+    def test_census_holds_one_relation_at_a_time(self):
+        # 2^12 relations: a list of them all would take about 676 KiB
+        m = mk_model({"x": tuple("abc"), "y": tuple("pqrs")}, {})
+        tracemalloc.start()
+        try:
+            report = fundamental_check(m, "x", "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert (report.num_relations, report.num_functions) == (4096, 64)
+        assert peak < 64 << 10
 
     def test_summary_mentions_the_counts(self):
         report = fundamental_check(pair_model(), "x", "y")
