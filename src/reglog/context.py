@@ -56,23 +56,15 @@ class Context:
 
 
 def mk_context(
-    port_types: Iterable[str],
-    extra_support: Iterable[str] = (),
-    types: Iterable[str] | None = None,
+    port_types: Iterable[str], extra_support: Iterable[str] = ()
 ) -> Context:
     """Build a context from a port typing and optional extra support symbols.
 
-    When ``types`` is given, every symbol must be drawn from it.  Every
-    symbol must be nonempty; the support is built sorted and covering the
-    ports, so nothing else about it needs checking.
+    Every symbol must be nonempty; the support is built sorted and covering
+    the ports, so nothing else about it needs checking.
     """
     port_types = tuple(port_types)
     extra_support = tuple(extra_support)
-    if types is not None:
-        known = set(types)
-        unknown = [s for s in (*port_types, *extra_support) if s not in known]
-        if unknown:
-            raise ValidationError(f"unknown type symbols: {sorted(set(unknown))}")
     if any(not t for t in (*port_types, *extra_support)):
         raise ValidationError("type symbols must be nonempty strings")
     return Context(port_types, _canon_support((*port_types, *extra_support)))

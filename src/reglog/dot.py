@@ -9,6 +9,7 @@ index order.
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .wiring import WiringDiagram
 
 
@@ -23,7 +24,7 @@ def emit_dot(
 ) -> str:
     """Render one diagram in the DOT language (an undirected graph)."""
     if labels is not None and len(labels) != len(w.inner):
-        raise ValueError("one label per inner shell expected")
+        raise ValidationError("one label per inner shell expected")
     lines = [
         f"graph {_quote(name)} {{",
         "  rankdir=LR;",

@@ -44,7 +44,7 @@ import csv
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, TypeVar
 
 from .context import Context, mk_context
 from .errors import DslError, ReglogError
@@ -85,26 +85,6 @@ def _lex(text: str) -> tuple[list[str], list[int]]:
     values.append("")
     lines.append(n)
     return values, lines
-
-
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-
-
-def _kind(value: str) -> str:
-    if value.isidentifier():
-        return "name"
-    if value.isdigit():
-        return "number"
-    return {"": "eof", '"': "string", "-": "arrow"}.get(value[:1], "punct")
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens the parser reads, as ``Token``s ending with ``eof``."""
-    values, lines = _lex(text)
-    return [Token(_kind(v), v.strip('"'), n) for v, n in zip(values, lines)]
 
 
 @dataclass

@@ -89,7 +89,7 @@ class SynObject:
         return tuple(1 << i for i in range(len(self.predicate)))
 
     def __str__(self):
-        return f"({self.context}, {len(self.predicate)} rows)"
+        return f"({self.context}, rows {list(self.sorted_rows)})"
 
 
 def mk_syn_object(context: Context, rows: Iterable[tuple[str, ...]]) -> SynObject:

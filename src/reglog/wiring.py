@@ -14,6 +14,10 @@ boundary.  Substitution plugs a diagram into one inner shell: it offsets the
 inside dots, merges dots along the vanished boundary with a union-find, and
 normalizes.  ``compose_wd`` is built on it; ``term.flatten`` glues a whole
 term tree the same way in one pass.
+
+The generators are graphs and cographs of context maps: identity, copy and
+discard are the graphs (``dom -> cod``) of the identity, diagonal and terminal
+maps; merge and spawn are the cographs (``cod -> dom``) of the last two.
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ from .context import (
     Context,
     ContextMorphism,
     _canon_support,
+    braid_cm,
+    diagonal_cm,
+    identity_cm,
     oplus,
     oplus_all,
+    terminal_cm,
     terminal_ctx,
 )
 from .errors import CompositionError, ValidationError
@@ -120,9 +128,25 @@ def mk_wiring(
     )
 
 
+def graph_wd(f: ContextMorphism) -> WiringDiagram:
+    """The graph of a context morphism, as a diagram ``dom -> cod``."""
+    ports = tuple(range(f.dom.arity))
+    return normalize(
+        WiringDiagram((f.dom,), f.cod, f.dom.port_types, (), (ports, f.port_map))
+    )
+
+
+def cograph_wd(f: ContextMorphism) -> WiringDiagram:
+    """The cograph of a context morphism, as a diagram ``cod -> dom``."""
+    ports = tuple(range(f.dom.arity))
+    return normalize(
+        WiringDiagram((f.cod,), f.dom, f.dom.port_types, (), (f.port_map, ports))
+    )
+
+
 def identity_wd(c: Context) -> WiringDiagram:
-    ports = tuple(range(c.arity))
-    return normalize(WiringDiagram((c,), c, c.port_types, (), (ports, ports)))
+    """The identity ``c -> c``: the graph of the identity map."""
+    return graph_wd(identity_cm(c))
 
 
 def empty_wd() -> WiringDiagram:
@@ -220,52 +244,26 @@ def leq_wd(lower: WiringDiagram, upper: WiringDiagram) -> bool:
 
 
 def delta_wd(c: Context) -> WiringDiagram:
-    """Copy: ``c -> c (+) c``."""
-    ports = tuple(range(c.arity))
-    return normalize(
-        WiringDiagram((c,), oplus(c, c), c.port_types, (), (ports, ports + ports))
-    )
+    """Copy ``c -> c (+) c``: the graph of the diagonal."""
+    return graph_wd(diagonal_cm(c))
 
 
 def mu_wd(c: Context) -> WiringDiagram:
-    """Merge: ``c (+) c -> c``."""
-    ports = tuple(range(c.arity))
-    return normalize(
-        WiringDiagram((oplus(c, c),), c, c.port_types, (), (ports + ports, ports))
-    )
+    """Merge ``c (+) c -> c``: the cograph of the diagonal."""
+    return cograph_wd(diagonal_cm(c))
 
 
 def epsilon_wd(c: Context) -> WiringDiagram:
-    """Discard: ``c -> ()``; the discarded types stay in the support."""
-    ports = tuple(range(c.arity))
-    return normalize(WiringDiagram((c,), terminal_ctx(), c.port_types, (), (ports, ())))
+    """Discard ``c -> ()``: the graph of the terminal map; types stay in support."""
+    return graph_wd(terminal_cm(c))
 
 
 def eta_wd(c: Context) -> WiringDiagram:
-    """Spawn: ``() -> c``; every outer port gets its own fresh dot."""
-    ports = tuple(range(c.arity))
-    return normalize(WiringDiagram((terminal_ctx(),), c, c.port_types, (), ((), ports)))
-
-
-def graph_wd(f: ContextMorphism) -> WiringDiagram:
-    """The graph of a context morphism, as a diagram ``dom -> cod``."""
-    ports = tuple(range(f.dom.arity))
-    return normalize(
-        WiringDiagram((f.dom,), f.cod, f.dom.port_types, (), (ports, f.port_map))
-    )
-
-
-def cograph_wd(f: ContextMorphism) -> WiringDiagram:
-    """The cograph of a context morphism, as a diagram ``cod -> dom``."""
-    ports = tuple(range(f.dom.arity))
-    return normalize(
-        WiringDiagram((f.cod,), f.dom, f.dom.port_types, (), (f.port_map, ports))
-    )
+    """Spawn ``() -> c``: the cograph of the terminal map; a fresh dot per port."""
+    return cograph_wd(terminal_cm(c))
 
 
 def braid_wd(left: Context, right: Context) -> WiringDiagram:
-    from .context import braid_cm
-
     return graph_wd(braid_cm(left, right))
 
 
@@ -286,27 +284,14 @@ def permute_outer_blocks(
     )
 
 
-def transpose_wd(
-    w: WiringDiagram, split: tuple[Context, Context] | None = None
-) -> WiringDiagram:
-    """Swap the two boundary roles of a relation-shaped diagram.
-
-    For a one-shell diagram the inner and outer shells trade places.  For a
-    diagram with no inner shells the outer shell must be split as two blocks,
-    which are swapped.
-    """
-    if w.num_slots == 1 and split is None:
-        return normalize(
-            WiringDiagram(
-                (w.outer,), w.inner[0], w.dot_types, w.support, (w.wires[1], w.wires[0])
-            )
+def transpose_wd(w: WiringDiagram) -> WiringDiagram:
+    """Swap the inner and outer shells of a one-shell diagram."""
+    if w.num_slots != 1:
+        raise CompositionError(
+            "transpose_wd expects a diagram with exactly one inner shell"
         )
-    if w.num_slots == 0:
-        if split is None:
-            raise CompositionError(
-                "transposing a diagram with no inner shells needs the outer split"
-            )
-        return permute_outer_blocks(w, *split)
-    raise CompositionError(
-        "transpose_wd expects one inner shell, or none plus an outer split"
+    return normalize(
+        WiringDiagram(
+            (w.outer,), w.inner[0], w.dot_types, w.support, (w.wires[1], w.wires[0])
+        )
     )

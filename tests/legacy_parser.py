@@ -2,19 +2,21 @@
 
 ``LegacyParser`` is the earlier ``reglog.dsl._Parser``, copied verbatim: it
 reads ``Token`` objects, from the anchored-match oracle tokenizer.  Only the
-names it used from its module are imported here.  ``test_lexer.py`` checks
-that the current parser builds an equal ``Workspace``, or raises the same
-``DslError`` with the same line, on the same texts.
+names it used from its module are imported here; ``Token``, the record the
+earlier lexer returned, is defined here.  ``test_lexer.py`` checks that the
+current parser builds an equal ``Workspace``, or raises the same ``DslError``
+with the same line, on the same texts, and compares the current lexer with
+``oracle_lex``, the oracle tokens in the lexer's own form.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from reglog.context import Context, mk_context
-from reglog.dsl import _KEYWORDS, _RESERVED_NAME, Token, Workspace, ingest_csv
+from reglog.dsl import _KEYWORDS, _RESERVED_NAME, Workspace, ingest_csv
 from reglog.errors import DslError, ReglogError
 from reglog.term import bare_term, mk_term, true_term
 from reglog.wiring import mk_wiring
@@ -22,6 +24,20 @@ from reglog.wiring import mk_wiring
 from helpers import oracle_tokenize
 
 _T = TypeVar("_T")
+
+
+class Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+
+
+def oracle_lex(text: str) -> tuple[list[str], list[int]]:
+    """``oracle_tokenize`` in the form ``reglog.dsl._lex`` returns: the token
+    strings, a string keeping its quotes, and their lines."""
+    tokens = oracle_tokenize(text)
+    values = [f'"{v}"' if kind == "string" else v for kind, v, _ in tokens]
+    return values, [line for _, _, line in tokens]
 
 
 def legacy_parse_workspace(text: str, base_dir: str = ".") -> Workspace:

@@ -30,19 +30,21 @@ from hypothesis import given, settings, strategies as st
 from reglog import cli
 from reglog.context import mk_context
 from reglog.dsl import (
+    _lex,
     ingest_csv,
     load_workspace,
     parse_workspace,
     print_workspace,
-    tokenize,
     wiring_to_text,
 )
-from reglog.errors import DslError
+from reglog.dot import emit_dot
+from reglog.errors import DslError, ValidationError
 from reglog.model import eval_term
 from reglog.term import to_formula
 from reglog.wiring import mk_wiring, normalize
 
-from helpers import ROOT, oracle_tokenize, run_console_script, src_env
+from helpers import ROOT, run_console_script, src_env
+from legacy_parser import oracle_lex
 
 TEXTS = {p.name: p.read_text() for p in sorted((ROOT / "corpus").glob("*.rl"))}
 
@@ -132,27 +134,23 @@ def write_ws(tmp_path, text=BASIC, name="ws.rl"):
 
 class TestTokenizer:
     def test_tracks_lines_and_comments(self):
-        toks = tokenize("type x; # a comment\ntype")
-        assert [(t.kind, t.value, t.line) for t in toks] == [
-            ("name", "type", 1),
-            ("name", "x", 1),
-            ("punct", ";", 1),
-            ("name", "type", 2),
-            ("eof", "", 2),
-        ]
+        assert _lex("type x; # a comment\ntype") == (
+            ["type", "x", ";", "type", ""],
+            [1, 1, 1, 2, 2],
+        )
 
     def test_rejects_stray_characters(self):
         with pytest.raises(DslError) as err:
-            tokenize("type x;\n$")
+            _lex("type x;\n$")
         assert err.value.line == 2
         assert "line 2" in str(err.value)
 
     def test_matches_the_oracle_on_the_corpus_and_mutations(self):
         # Stray characters, tabs, carriage returns, lone quotes (unterminated
         # strings) and non-ASCII text, inserted at seeded positions.
-        def lex(tokenizer, text):
+        def lex(lexer, text):
             try:
-                return [tuple(tok) for tok in tokenizer(text)]
+                return lexer(text)
             except DslError as err:
                 return str(err), err.line
 
@@ -160,15 +158,15 @@ class TestTokenizer:
         rng = Random(811)
         errors = 0
         for text in TEXTS.values():
-            assert lex(tokenize, text) == lex(oracle_tokenize, text)
+            assert lex(_lex, text) == lex(oracle_lex, text)
             for _ in range(60):
                 mutated = text
                 for _ in range(rng.randint(1, 3)):
                     at = rng.randrange(len(mutated) + 1)
                     mutated = mutated[:at] + rng.choice(inserts) + mutated[at:]
-                expected = lex(oracle_tokenize, mutated)
-                assert lex(tokenize, mutated) == expected, mutated
-                errors += isinstance(expected, tuple)
+                expected = lex(oracle_lex, mutated)
+                assert lex(_lex, mutated) == expected, mutated
+                errors += isinstance(expected[0], str)
         # Most mutations must reach the error path, or it goes unchecked.
         assert errors > len(TEXTS) * 30
 
@@ -370,6 +368,13 @@ class TestPrinter:
             "  supp {w, x, y};",
             "}",
         ]
+
+    def test_dot_needs_one_label_per_inner_shell(self):
+        d = parse_workspace(BASIC).diagrams["d"]
+        assert emit_dot(d, ("R", "S")).startswith('graph "wiring" {')
+        for labels in [(), ("R",), ("R", "S", "T")]:
+            with pytest.raises(ValidationError, match="^one label per inner"):
+                emit_dot(d, labels)
 
 
 def run_cli(capsys, *argv):

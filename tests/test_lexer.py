@@ -1,11 +1,12 @@
 """The line lexer and the flat-list parser against their earlier forms.
 
-``tokenize`` is a view of the lexer the parser reads, so comparing it with
-``oracle_tokenize`` on seeded random strings checks that lexer.  The parser
-is compared with ``legacy_parser.LegacyParser``, the earlier parser over
-``Token`` objects: on the corpus, on seeded token-level mutations of it and
-on a 10,000-row data block, both must build equal workspaces or raise the
-same ``DslError`` on the same line.
+``_lex``, the lexer the parser reads, is compared with ``oracle_tokenize``
+on seeded random strings, through ``legacy_parser.oracle_lex``, which spells
+the oracle tokens as ``_lex`` does.  The parser is compared with
+``legacy_parser.LegacyParser``, the earlier parser over ``Token`` objects: on
+the corpus, on seeded token-level mutations of it and on a 10,000-row data
+block, both must build equal workspaces or raise the same ``DslError`` on the
+same line.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from random import Random
 
 import pytest
 
-from reglog.dsl import parse_workspace, tokenize
+from reglog.dsl import _lex, parse_workspace
 from reglog.errors import DslError
 
 from helpers import ROOT, oracle_tokenize
-from legacy_parser import legacy_parse_workspace
+from legacy_parser import legacy_parse_workspace, oracle_lex
 
 CORPUS = ROOT / "corpus"
 TEXTS = {p.name: p.read_text(encoding="utf-8") for p in sorted(CORPUS.glob("*.rl"))}
@@ -35,22 +36,18 @@ def outcome(fn, *args):
         return str(err), err.line
 
 
-def lexed(tokenizer, text):
-    return outcome(lambda: [tuple(tok) for tok in tokenizer(text)])
-
-
 def test_tokenize_matches_the_oracle_on_random_strings():
     rng = Random(1609)
     kinds = set()
     errors = 0
     for _ in range(20_000):
         text = "".join(rng.choices(ALPHABET, k=rng.randint(0, 24)))
-        expected = lexed(oracle_tokenize, text)
-        assert lexed(tokenize, text) == expected, repr(text)
-        if isinstance(expected, tuple):
+        expected = outcome(oracle_lex, text)
+        assert outcome(_lex, text) == expected, repr(text)
+        if isinstance(expected[0], str):
             errors += 1
         else:
-            kinds.update(kind for kind, _, _ in expected)
+            kinds.update(kind for kind, _, _ in oracle_tokenize(text))
     # Both outcomes and every token kind must occur, or a path goes unchecked.
     assert 2_000 < errors < 18_000
     assert kinds == {"name", "number", "string", "arrow", "punct", "eof"}
@@ -60,8 +57,8 @@ def test_tokenize_matches_the_oracle_on_random_strings():
 def test_only_newline_ends_a_line_and_other_whitespace_is_rejected(char):
     # str.splitlines would end a line at each of these; the oracle rejects them.
     text = f'type x;\ndata R from "a{char}b";{char}\n# c{char}\ntype{char}y;\n'
-    assert lexed(tokenize, text) == lexed(oracle_tokenize, text)
-    assert lexed(tokenize, text) == (f"line 2: unexpected character {char!r}", 2)
+    assert outcome(_lex, text) == outcome(oracle_lex, text)
+    assert outcome(_lex, text) == (f"line 2: unexpected character {char!r}", 2)
 
 
 def mutate(text: str, rng: Random) -> str:

@@ -120,6 +120,14 @@ class TestObjects:
         assert t.predicate.rows() == [()]
         assert oplus_obj(t, O2) == O2 == oplus_obj(O2, t)
 
+    def test_objects_print_their_sorted_rows(self):
+        # law-suite witnesses name objects by this form, so two predicates of
+        # one size on one context must print apart
+        c = mk_context(("x",))
+        assert str(mk_syn_object(c, [("b",), ("a",)])) == "((x), rows [('a',), ('b',)])"
+        assert str(mk_syn_object(c, [("a",)])) != str(mk_syn_object(c, [("b",)]))
+        assert str(terminal_syn()) == "((), rows [()])"
+
     def test_product_object(self):
         p = oplus_obj(O2, O1)
         assert p.context == oplus(O2.context, O1.context)
@@ -600,39 +608,40 @@ PINNED_FAILURES = {
     "mu": (
         {},
         {
-            "frobenius_special_per_object": "object ((), 1 rows)",
-            "adjoint_monoid_inequalities": "object ((), 1 rows)",
+            "frobenius_special_per_object": "object ((), rows [()])",
+            "adjoint_monoid_inequalities": "object ((), rows [()])",
         },
     ),
     "pullback": (
         {},
         {
             "pullback_square_commutes":
-                "cospan ((), 1 rows) -> ((), 1 rows) <- ((), 1 rows)",
+                "cospan ((), rows [()]) -> ((), rows [()]) <- ((), rows [()])",
             "pullback_mediator_unique":
-                "cone ((), 1 rows) over ((), 1 rows) -> ((), 1 rows) <- ((), 1 rows)",
+                "cone ((), rows [()]) over "
+                "((), rows [()]) -> ((), rows [()]) <- ((), rows [()])",
             "regular_epi_pullback_stable":
-                "cospan ((), 1 rows) -> ((), 1 rows) <- ((), 1 rows)",
+                "cospan ((), rows [()]) -> ((), rows [()]) <- ((), rows [()])",
         },
     ),
     # the first failing pair skips its mediators; later failing pairs do not
     "equalizer": (
         {"equalizer_universal": 500},
-        {"equalizer_universal": "parallel pair ((), 1 rows) -> ((), 1 rows)"},
+        {"equalizer_universal": "parallel pair ((), rows [()]) -> ((), rows [()])"},
     ),
     "image": (
         {},
-        {"image_factorization": "function ((), 1 rows) -> ((), 1 rows)"},
+        {"image_factorization": "function ((), rows [()]) -> ((), rows [()])"},
     ),
     "classify": (
         {"order_on_functions_discrete": 1040},
         {
-            "terminal_map_unique": "object ((), 1 rows): 2 maps to the point",
-            "order_on_functions_discrete": "((), 1 rows) -> ((), 1 rows)",
+            "terminal_map_unique": "object ((), rows [()]): 2 maps to the point",
+            "order_on_functions_discrete": "((), rows [()]) -> ((), rows [()])",
             "entailments_sharpen_to_equalities":
-                "((), 1 rows) -> ((), 0 rows), rows []",
+                "((), rows [()]) -> ((), rows []), rows []",
             "left_adjoints_are_the_functions":
-                "((), 1 rows) -> ((), 0 rows), rows []",
+                "((), rows [()]) -> ((), rows []), rows []",
         },
     ),
 }

@@ -160,7 +160,9 @@ class TestNormalForm:
                 tensor(w, arrow),
                 as_morphism(w),
                 transpose_wd(arrow),
-                transpose_wd(rand_wiring(rng, [], oplus(left, right)), (left, right)),
+                permute_outer_blocks(
+                    rand_wiring(rng, [], oplus(left, right)), left, right
+                ),
                 permute_outer_blocks(blocks, left, right),
                 identity_wd(left),
                 delta_wd(left),
@@ -353,6 +355,68 @@ class TestGenerators:
                 assert not leq_wd(identity_wd(oplus(c, c)), compose_wd(m, d))
                 assert not leq_wd(compose_wd(e, n), i)
 
+    def test_generators_match_literal_diagrams(self):
+        # Every generator written out by hand, on a one-port context, on one
+        # with a repeated port type and on one with extra support.
+        x = mk_context(("x",))
+        xyx = mk_context(("x", "y", "x"))
+        ys = mk_context(("y",), ("z",))
+        e = terminal_ctx()
+        pairs = [
+            (identity_wd(x), mk_wiring((x,), x, ("x",), ((0,), (0,)))),
+            (delta_wd(x), mk_wiring((x,), oplus(x, x), ("x",), ((0,), (0, 0)))),
+            (mu_wd(x), mk_wiring((oplus(x, x),), x, ("x",), ((0, 0), (0,)))),
+            (epsilon_wd(x), mk_wiring((x,), e, ("x",), ((0,), ()))),
+            (eta_wd(x), mk_wiring((e,), x, ("x",), ((), (0,)))),
+            (
+                identity_wd(xyx),
+                mk_wiring((xyx,), xyx, ("x", "y", "x"), ((0, 1, 2), (0, 1, 2))),
+            ),
+            (
+                delta_wd(xyx),
+                mk_wiring(
+                    (xyx,),
+                    oplus(xyx, xyx),
+                    ("x", "y", "x"),
+                    ((0, 1, 2), (0, 1, 2, 0, 1, 2)),
+                ),
+            ),
+            (
+                mu_wd(xyx),
+                mk_wiring(
+                    (oplus(xyx, xyx),),
+                    xyx,
+                    ("x", "y", "x"),
+                    ((0, 1, 2, 0, 1, 2), (0, 1, 2)),
+                ),
+            ),
+            (epsilon_wd(xyx), mk_wiring((xyx,), e, ("x", "y", "x"), ((0, 1, 2), ()))),
+            (eta_wd(xyx), mk_wiring((e,), xyx, ("x", "y", "x"), ((), (0, 1, 2)))),
+            (identity_wd(ys), mk_wiring((ys,), ys, ("y",), ((0,), (0,)))),
+            (delta_wd(ys), mk_wiring((ys,), oplus(ys, ys), ("y",), ((0,), (0, 0)))),
+            (mu_wd(ys), mk_wiring((oplus(ys, ys),), ys, ("y",), ((0, 0), (0,)))),
+            (epsilon_wd(ys), mk_wiring((ys,), e, ("y",), ((0,), ()))),
+            (eta_wd(ys), mk_wiring((e,), ys, ("y",), ((), (0,)))),
+            (
+                braid_wd(x, xyx),
+                mk_wiring(
+                    (oplus(x, xyx),),
+                    oplus(xyx, x),
+                    ("x", "x", "y", "x"),
+                    ((0, 1, 2, 3), (1, 2, 3, 0)),
+                ),
+            ),
+            (
+                braid_wd(ys, x),
+                mk_wiring((oplus(ys, x),), oplus(x, ys), ("y", "x"), ((0, 1), (1, 0))),
+            ),
+        ]
+        for generator, literal in pairs:
+            assert generator == literal
+        # the extra support stays on the diagram as a white label
+        assert epsilon_wd(ys).support == eta_wd(ys).support == ("y", "z")
+        assert epsilon_wd(ys).white_labels() == eta_wd(ys).white_labels() == ("z",)
+
     def test_generator_table_shapes(self):
         c = mk_context(("x", "y"))
         other = mk_context(("y",))
@@ -392,12 +456,12 @@ class TestGenerators:
             assert t.inner == (w.outer,) and t.outer == w.inner[0]
             assert transpose_wd(t) == w
 
-    def test_transpose_via_outer_split(self):
+    def test_transpose_needs_exactly_one_inner_shell(self):
         a, b = mk_context(("x",)), mk_context(("y", "x"))
-        w = rand_wiring(Random(214), (), outer=oplus(a, b))
-        t = transpose_wd(w, (a, b))
-        assert t == permute_outer_blocks(w, a, b)
-        assert transpose_wd(t, (b, a)).outer == w.outer
+        for shells in [(), (a, b)]:
+            w = rand_wiring(Random(214), shells, outer=oplus(a, b))
+            with pytest.raises(CompositionError, match="exactly one inner shell"):
+                transpose_wd(w)
 
     def test_braid_is_natural_and_involutive(self):
         rng = Random(215)
