@@ -206,18 +206,6 @@ def diagonal_cm(c: Context) -> ContextMorphism:
     return ContextMorphism(c, oplus(c, c), tuple(range(c.arity)) * 2)
 
 
-def proj1_cm(left: Context, right: Context) -> ContextMorphism:
-    return ContextMorphism(oplus(left, right), left, tuple(range(left.arity)))
-
-
-def proj2_cm(left: Context, right: Context) -> ContextMorphism:
-    return ContextMorphism(
-        oplus(left, right),
-        right,
-        tuple(range(left.arity, left.arity + right.arity)),
-    )
-
-
 def terminal_cm(c: Context) -> ContextMorphism:
     return ContextMorphism(c, terminal_ctx(), ())
 

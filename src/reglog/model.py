@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .context import Context, ContextMorphism, oplus
@@ -37,17 +38,35 @@ from .term import GraphicalTerm, flatten
 
 @dataclass(frozen=True)
 class FinRelation:
-    """A finite relation on a context: a set of typed tuples of atoms."""
+    """A finite relation on a context: a set of typed tuples of atoms.
+
+    It is a formula in its context, and so also an object of the category of
+    internal relations (:mod:`reglog.syncat`).  The sorted rows and their
+    positions are computed on first use and cached; equality, hashing and
+    ``repr`` see only the two fields.
+    """
 
     context: Context
     tuples: frozenset[tuple[str, ...]]
 
+    @cached_property
+    def sorted_rows(self) -> tuple[tuple[str, ...], ...]:
+        """The tuples in sorted order; internal-relation mask bits index them."""
+        return tuple(sorted(self.tuples))
+
+    @cached_property
+    def row_index(self) -> dict[tuple[str, ...], int]:
+        return {row: i for i, row in enumerate(self.sorted_rows)}
+
     def rows(self) -> list[tuple[str, ...]]:
         """The tuples in sorted order, for deterministic output."""
-        return sorted(self.tuples)
+        return list(self.sorted_rows)
 
     def __len__(self):
         return len(self.tuples)
+
+    def __str__(self):
+        return f"({self.context}, rows {list(self.sorted_rows)})"
 
 
 def _check_arity(rel: FinRelation) -> FinRelation:

@@ -1,21 +1,22 @@
 """Internal relations over a finite model, and an executable law suite.
 
-Objects pair a context with a predicate on it (a finite relation); morphisms
-are relations between the underlying tuple sets whose marginals stay inside
-the endpoint predicates.  Composition is the relational join on the shared
-middle block.  Internal *functions* are the total deterministic morphisms,
-equivalently the left adjoints; :func:`classify` computes both
-characterizations and insists they agree.
+Objects are the model's finite relations, each a formula in its context
+(:class:`~reglog.model.FinRelation`), and their tensor is the laxator
+:func:`~reglog.model.rho_lax`.  Morphisms are relations between the
+underlying tuple sets whose marginals stay inside the endpoint objects.
+Composition is the relational join on the shared middle block.  Internal
+*functions* are the total deterministic morphisms, equivalently the left
+adjoints; :func:`classify` computes both characterizations and insists they
+agree.
 
 A morphism is stored as a boolean matrix with one ``int`` bitmask per row of
-the domain predicate, in sorted order: bit ``j`` of a row's mask is set when
-the relation pairs that row with the ``j``-th sorted row of the codomain
-predicate.  The join on the middle block then ORs the second relation's masks
-over the set bits of each row, the order is a per-row subset test and the
-meet is a per-row AND.  Tuples of equal arity sort lexicographically, so row
-``i * |R| + j`` of ``oplus_obj(L, R)`` is the pair (row ``i`` of ``L``, row
-``j`` of ``R``), and tensors, braids, copies and discards are index
-arithmetic.  The sets of concatenated rows are derived views, read by
+the domain, in sorted order: bit ``j`` of a row's mask is set when the
+relation pairs that row with the ``j``-th sorted row of the codomain.  The
+join on the middle block then ORs the second relation's masks over the set
+bits of each row, the order is a per-row subset test and the meet is a per-row
+AND.  Tuples of equal arity sort lexicographically, so row ``i * |R| + j`` of
+``rho_lax(L, R)`` is the pair (row ``i`` of ``L``, row ``j`` of ``R``), and
+tensors, braids, copies and discards are index arithmetic.  The sets of concatenated rows are derived views, read by
 validation, witnesses and tests.
 
 :func:`check_regular_axioms` sweeps bounded families of objects and morphisms
@@ -29,7 +30,8 @@ its first witness, in sweep order, but keeps counting every case it tries, so
 the case counts are the same whether the check passes or fails.  Negative
 bounds, and bounds under which the sweeps would pass ``AXIOMS_MAX_CONTEXTS``
 contexts or ``AXIOMS_MAX_MASK_BITS`` bits of masks, are refused before
-anything is built.
+anything is built; an object family whose hom sweep would visit more than
+``AXIOMS_MAX_HOM_PAIRS`` pairs is refused before any sweep runs.
 
 Where a sweep reads only the masks of a composite, it composes the bare masks
 with ``_compose`` instead of building a relation to throw away.  The sweeps
@@ -42,14 +44,15 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .context import Context, mk_context, oplus, terminal_ctx
 from .errors import CompositionError, ReglogError, ValidationError
-from .model import FinRelation, ModelInstance, mk_relation, true_rel
+from .model import FinRelation, ModelInstance, rho_lax, true_rel
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -60,57 +63,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class SynObject:
-    """A context together with a predicate on it.
-
-    The sorted rows, their positions and the masks of the identity are
-    computed on first use and cached; equality and hashing see only the two
-    fields.
-    """
-
-    context: Context
-    predicate: FinRelation
-
-    @cached_property
-    def sorted_rows(self) -> tuple[tuple[str, ...], ...]:
-        """The rows of the predicate in sorted order; mask bits index them."""
-        return tuple(sorted(self.predicate.tuples))
-
-    @cached_property
-    def row_index(self) -> dict[tuple[str, ...], int]:
-        return {row: i for i, row in enumerate(self.sorted_rows)}
-
-    @cached_property
-    def identity_masks(self) -> tuple[int, ...]:
-        # the masks, not the relation: a cached relation pointing back at
-        # its object makes a reference cycle, and such cycles outlive the
-        # many temporary objects of the law suite until the collector runs
-        return tuple(1 << i for i in range(len(self.predicate)))
-
-    def __str__(self):
-        return f"({self.context}, rows {list(self.sorted_rows)})"
+@cache
+def _ones(n: int) -> tuple[int, ...]:
+    """The masks of the identity on an object of ``n`` rows."""
+    return tuple(1 << i for i in range(n))
 
 
-def mk_syn_object(context: Context, rows: Iterable[tuple[str, ...]]) -> SynObject:
-    """Validating constructor: the predicate is built on ``context`` itself,
-    and :func:`mk_relation` checks the arity of every row."""
-    return SynObject(context, mk_relation(context, rows))
-
-
-def _syn_object(context: Context, rows: Iterable[tuple[str, ...]]) -> SynObject:
-    return SynObject(context, FinRelation(context, frozenset(rows)))
-
-
-def terminal_syn() -> SynObject:
-    return _syn_object(terminal_ctx(), [()])
-
-
-def oplus_obj(left: SynObject, right: SynObject) -> SynObject:
-    return _syn_object(
-        oplus(left.context, right.context),
-        (a + b for a in left.predicate.tuples for b in right.predicate.tuples),
-    )
+def terminal_syn() -> FinRelation:
+    return FinRelation(terminal_ctx(), frozenset({()}))
 
 
 class InternalRelation(NamedTuple):
@@ -129,8 +89,8 @@ class InternalRelation(NamedTuple):
     tuple it also equals the plain tuple ``(dom, cod, masks)``.
     """
 
-    dom: SynObject
-    cod: SynObject
+    dom: FinRelation
+    cod: FinRelation
     masks: tuple[int, ...]
 
     def split_rows(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -149,25 +109,25 @@ class InternalRelation(NamedTuple):
 
 
 def mk_internal_relation(
-    dom: SynObject, cod: SynObject, rows: Iterable[tuple[str, ...]]
+    dom: FinRelation, cod: FinRelation, rows: Iterable[tuple[str, ...]]
 ) -> InternalRelation:
     """Validating constructor: both marginals must lie inside the endpoint
-    predicates, which also rules out rows of the wrong arity."""
+    objects, which also rules out rows of the wrong arity."""
     rows = frozenset(tuple(row) for row in rows)
     n1 = dom.context.arity
-    if not {row[:n1] for row in rows} <= dom.predicate.tuples:
+    if not {row[:n1] for row in rows} <= dom.tuples:
         raise ValidationError("left marginal escapes the domain predicate")
-    if not {row[n1:] for row in rows} <= cod.predicate.tuples:
+    if not {row[n1:] for row in rows} <= cod.tuples:
         raise ValidationError("right marginal escapes the codomain predicate")
     at_x, at_y = dom.row_index, cod.row_index
-    masks = [0] * len(dom.predicate)
+    masks = [0] * len(dom)
     for row in rows:
         masks[at_x[row[:n1]]] |= 1 << at_y[row[n1:]]
     return InternalRelation(dom, cod, tuple(masks))
 
 
-def identity_ir(o: SynObject) -> InternalRelation:
-    return InternalRelation(o, o, o.identity_masks)
+def identity_ir(o: FinRelation) -> InternalRelation:
+    return InternalRelation(o, o, _ones(len(o)))
 
 
 def _compose(before: tuple[int, ...], after: tuple[int, ...]) -> tuple[int, ...]:
@@ -192,7 +152,7 @@ def compose_ir(first: InternalRelation, second: InternalRelation) -> InternalRel
 
 
 def transpose_ir(rel: InternalRelation) -> InternalRelation:
-    columns = [0] * len(rel.cod.predicate)
+    columns = [0] * len(rel.cod)
     for i, mask in enumerate(rel.masks):
         bit = 1 << i
         while mask:
@@ -223,7 +183,7 @@ def meet_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
 def tensor_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
     # domain row (i, k) relates to codomain row (p, q), at p * width + q, when
     # row i of ``a`` has bit p and row k of ``b`` has bit q
-    width = len(b.cod.predicate)
+    width = len(b.cod)
     masks = []
     for mask_a in a.masks:
         shifts = [p * width for p in _bits(mask_a)]
@@ -232,34 +192,30 @@ def tensor_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
             for shift in shifts:
                 acc |= mask_b << shift
             masks.append(acc)
-    return InternalRelation(
-        oplus_obj(a.dom, b.dom), oplus_obj(a.cod, b.cod), tuple(masks)
-    )
+    return InternalRelation(rho_lax(a.dom, b.dom), rho_lax(a.cod, b.cod), tuple(masks))
 
 
-def braid_ir(left: SynObject, right: SynObject) -> InternalRelation:
-    nl, nr = len(left.predicate), len(right.predicate)
+def braid_ir(left: FinRelation, right: FinRelation) -> InternalRelation:
+    nl, nr = len(left), len(right)
     masks = tuple(1 << (j * nl + i) for i in range(nl) for j in range(nr))
-    return InternalRelation(oplus_obj(left, right), oplus_obj(right, left), masks)
+    return InternalRelation(rho_lax(left, right), rho_lax(right, left), masks)
 
 
-def delta_ir(o: SynObject) -> InternalRelation:
-    n = len(o.predicate)
-    return InternalRelation(
-        o, oplus_obj(o, o), tuple(1 << (i * n + i) for i in range(n))
-    )
+def delta_ir(o: FinRelation) -> InternalRelation:
+    n = len(o)
+    return InternalRelation(o, rho_lax(o, o), tuple(1 << (i * n + i) for i in range(n)))
 
 
-def mu_ir(o: SynObject) -> InternalRelation:
+def mu_ir(o: FinRelation) -> InternalRelation:
     return transpose_ir(delta_ir(o))
 
 
-def bang(o: SynObject) -> InternalRelation:
+def bang(o: FinRelation) -> InternalRelation:
     """The discard map to the terminal object."""
-    return InternalRelation(o, terminal_syn(), (1,) * len(o.predicate))
+    return InternalRelation(o, terminal_syn(), (1,) * len(o))
 
 
-def eta_ir(o: SynObject) -> InternalRelation:
+def eta_ir(o: FinRelation) -> InternalRelation:
     return transpose_ir(bang(o))
 
 
@@ -307,24 +263,24 @@ def _one_bit_per_row(rel: InternalRelation) -> bool:
 
 
 def graph_ir(
-    dom: SynObject, cod: SynObject, mapping: dict[tuple[str, ...], tuple[str, ...]]
+    dom: FinRelation, cod: FinRelation, mapping: dict[tuple[str, ...], tuple[str, ...]]
 ) -> InternalRelation:
     return mk_internal_relation(
         dom, cod, (x + y for x, y in mapping.items())
     )
 
 
-def enumerate_functions(dom: SynObject, cod: SynObject) -> list[InternalRelation]:
+def enumerate_functions(dom: FinRelation, cod: FinRelation) -> list[InternalRelation]:
     """All internal functions ``dom -> cod``: graphs of row maps, in the
     lexicographic order of the sequence of images."""
-    units = [1 << j for j in range(len(cod.predicate))]
+    units = [1 << j for j in range(len(cod))]
     return [
         InternalRelation(dom, cod, choice)
-        for choice in itertools.product(units, repeat=len(dom.predicate))
+        for choice in itertools.product(units, repeat=len(dom))
     ]
 
 
-def _relations(dom: SynObject, cod: SynObject) -> Iterator[InternalRelation]:
+def _relations(dom: FinRelation, cod: FinRelation) -> Iterator[InternalRelation]:
     """All internal relations ``dom -> cod`` (subsets with good marginals),
     one at a time, smallest first, then lexicographic in the sorted
     concatenated rows.
@@ -332,7 +288,7 @@ def _relations(dom: SynObject, cod: SynObject) -> Iterator[InternalRelation]:
     Position ``p`` of the ``|dom| * |cod|`` cells is the pair
     ``(p // |cod|, p % |cod|)``, which is also where ``x + y`` sorts.
     """
-    nx, ny = len(dom.predicate), len(cod.predicate)
+    nx, ny = len(dom), len(cod)
     cells = [(p // ny, 1 << (p % ny)) for p in range(nx * ny)]
     for k in range(len(cells) + 1):
         for chosen in itertools.combinations(cells, k):
@@ -342,7 +298,7 @@ def _relations(dom: SynObject, cod: SynObject) -> Iterator[InternalRelation]:
             yield InternalRelation(dom, cod, tuple(masks))
 
 
-def enumerate_relations(dom: SynObject, cod: SynObject) -> list[InternalRelation]:
+def enumerate_relations(dom: FinRelation, cod: FinRelation) -> list[InternalRelation]:
     """The list of all internal relations ``dom -> cod``, in the order of
     :func:`_relations`."""
     return list(_relations(dom, cod))
@@ -350,7 +306,7 @@ def enumerate_relations(dom: SynObject, cod: SynObject) -> list[InternalRelation
 
 def pullback_ir(
     t1: InternalRelation, t2: InternalRelation
-) -> tuple[SynObject, InternalRelation, InternalRelation]:
+) -> tuple[FinRelation, InternalRelation, InternalRelation]:
     """Pullback of two internal functions along their shared codomain."""
     if t1.cod is not t2.cod and t1.cod != t2.cod:
         raise CompositionError("pullback needs a cospan")
@@ -364,8 +320,9 @@ def pullback_ir(
         if m1 & m2
     ]
     xs1, xs2 = t1.dom.sorted_rows, t2.dom.sorted_rows
-    apex = _syn_object(
-        oplus(t1.dom.context, t2.dom.context), (xs1[i] + xs2[k] for i, k in pairs)
+    apex = FinRelation(
+        oplus(t1.dom.context, t2.dom.context),
+        frozenset(xs1[i] + xs2[k] for i, k in pairs),
     )
     p1 = InternalRelation(apex, t1.dom, tuple(1 << i for i, _ in pairs))
     p2 = InternalRelation(apex, t2.dom, tuple(1 << k for _, k in pairs))
@@ -373,7 +330,7 @@ def pullback_ir(
 
 
 def pair_ir(
-    u1: InternalRelation, u2: InternalRelation, target: SynObject
+    u1: InternalRelation, u2: InternalRelation, target: FinRelation
 ) -> InternalRelation:
     """The tupling ``<u1, u2>`` into an object on the product context.
 
@@ -400,7 +357,7 @@ def pair_ir(
 
 def equalizer_ir(
     t1: InternalRelation, t2: InternalRelation
-) -> tuple[SynObject, InternalRelation]:
+) -> tuple[FinRelation, InternalRelation]:
     """Equalizer of parallel internal functions: where the two images agree."""
     if (t1.dom is not t2.dom and t1.dom != t2.dom) or (
         t1.cod is not t2.cod and t1.cod != t2.cod
@@ -410,7 +367,7 @@ def equalizer_ir(
         raise ValidationError("equalizer is taken over internal functions")
     agree = [i for i, (a, b) in enumerate(zip(t1.masks, t2.masks)) if a & b]
     xs = t1.dom.sorted_rows
-    obj = _syn_object(t1.dom.context, (xs[i] for i in agree))
+    obj = FinRelation(t1.dom.context, frozenset(xs[i] for i in agree))
     incl = InternalRelation(obj, t1.dom, tuple(1 << i for i in agree))
     return obj, incl
 
@@ -421,7 +378,7 @@ def image_ir(
     """Factor through the right marginal: regular epi followed by mono."""
     kept = list(_bits(reduce(or_, rel.masks, 0)))
     ys = rel.cod.sorted_rows
-    image = _syn_object(rel.cod.context, (ys[j] for j in kept))
+    image = FinRelation(rel.cod.context, frozenset(ys[j] for j in kept))
     epi = InternalRelation(
         rel.dom,
         image,
@@ -435,19 +392,19 @@ def image_ir(
 
 
 def is_mono_ir(rel: InternalRelation) -> bool:
-    return _compose(rel.masks, transpose_ir(rel).masks) == rel.dom.identity_masks
+    return _compose(rel.masks, transpose_ir(rel).masks) == _ones(len(rel.dom))
 
 
 def is_regular_epi_ir(rel: InternalRelation) -> bool:
-    return reduce(or_, rel.masks, 0) == (1 << len(rel.cod.predicate)) - 1
+    return reduce(or_, rel.masks, 0) == (1 << len(rel.cod)) - 1
 
 
-def subobjects(o: SynObject) -> list[SynObject]:
+def subobjects(o: FinRelation) -> list[FinRelation]:
     """All subobjects, smallest first then lexicographic; 2^|rows| of them."""
     out = []
-    for k in range(len(o.predicate) + 1):
+    for k in range(len(o) + 1):
         for subset in itertools.combinations(o.sorted_rows, k):
-            out.append(_syn_object(o.context, subset))
+            out.append(FinRelation(o.context, frozenset(subset)))
     return out
 
 
@@ -546,27 +503,26 @@ def contexts_up_to(types: Iterable[str], max_arity: int) -> list[Context]:
 
 def _objects_for(
     model: ModelInstance, max_arity: int, cap: int
-) -> list[SynObject]:
+) -> list[FinRelation]:
     """Every subobject of each full object with at most ``cap`` rows; four
     samples (empty, full, one row, the first half) of each larger one."""
     objs = []
     for c in contexts_up_to(model.domains.keys(), max_arity):
-        full = SynObject(c, true_rel(c, model))
+        full = true_rel(c, model)
         rows = full.sorted_rows
         if len(rows) <= cap:
             objs.extend(subobjects(full))
         else:
             samples = [(), rows, rows[:1], rows[: len(rows) // 2]]
-            objs.extend(_syn_object(c, sample) for sample in samples)
+            objs.extend(FinRelation(c, frozenset(sample)) for sample in samples)
     for name in sorted(model.relations):
         rel = model.relations[name]
-        obj = SynObject(rel.context, rel)
-        if obj not in objs and rel.context.arity <= max_arity:
-            objs.append(obj)
+        if rel not in objs and rel.context.arity <= max_arity:
+            objs.append(rel)
     return objs
 
 
-def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[SynObject]:
+def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[FinRelation]:
     """A small, diverse, deterministic family used for the limit checks.
 
     One-port contexts come first so the family is not dominated by empty
@@ -577,9 +533,9 @@ def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[SynObject]:
         contexts_up_to(model.domains.keys(), 1),
         key=lambda c: (-c.arity, len(c.extra_support()), c.support, c.port_types),
     )
-    family: list[SynObject] = [terminal_syn()]
+    family: list[FinRelation] = [terminal_syn()]
 
-    def push(obj: SynObject) -> bool:
+    def push(obj: FinRelation) -> bool:
         if obj not in family:
             family.append(obj)
         return len(family) >= bounds.limit_objects
@@ -588,15 +544,15 @@ def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[SynObject]:
         full = true_rel(c, model)
         rows = full.rows()[:2]
         for k in range(len(rows), 0, -1):
-            if push(_syn_object(c, rows[:k])):
+            if push(FinRelation(c, frozenset(rows[:k]))):
                 return family
     for c in contexts:
-        if push(_syn_object(c, ())):
+        if push(FinRelation(c, frozenset())):
             return family
     return family
 
 
-def _object_law_checks(objs: list[SynObject]) -> list[CheckResult]:
+def _object_law_checks(objs: list[FinRelation]) -> list[CheckResult]:
     frob = CheckResult("frobenius_special_per_object", True, 0)
     adjm = CheckResult("adjoint_monoid_inequalities", True, 0)
     for o in objs:
@@ -605,7 +561,7 @@ def _object_law_checks(objs: list[SynObject]) -> list[CheckResult]:
         mu = mu_ir(o)
         eps = bang(o)
         eta = eta_ir(o)
-        two = oplus_obj(o, o)
+        two = rho_lax(o, o)
         id2 = identity_ir(two)
         # comonoid: counit both sides, coassociativity, cocommutativity
         counit_l = compose_ir(delta, tensor_ir(eps, ident))
@@ -640,12 +596,12 @@ def _object_law_checks(objs: list[SynObject]) -> list[CheckResult]:
     return [frob, adjm]
 
 
-def _terminal_checks(objs: list[SynObject], cap: int) -> list[CheckResult]:
+def _terminal_checks(objs: list[FinRelation], cap: int) -> list[CheckResult]:
     res = CheckResult("terminal_map_unique", True, 0)
     sub = CheckResult("subobject_lattice_size", True, 0)
     point = terminal_syn()
     for o in objs:
-        if len(o.predicate) <= cap:
+        if len(o) <= cap:
             functions = [
                 r for r in enumerate_relations(o, point) if classify(r).function
             ]
@@ -653,13 +609,13 @@ def _terminal_checks(objs: list[SynObject], cap: int) -> list[CheckResult]:
                 len(functions) == 1 and functions[0].masks == bang(o).masks
             ):
                 res.fail(f"object {o}: {len(functions)} maps to the point")
-            if not sub.count(len(subobjects(o)) == 2 ** len(o.predicate)):
+            if not sub.count(len(subobjects(o)) == 2 ** len(o)):
                 sub.fail(f"object {o}")
     return [res, sub]
 
 
 def _hom_sweep_checks(
-    objs: list[SynObject], bounds: AxiomBounds
+    objs: list[FinRelation], bounds: AxiomBounds
 ) -> list[CheckResult]:
     validity = CheckResult("validity_equals_frame_condition", True, 0)
     threeway = CheckResult("function_characterizations_agree", True, 0)
@@ -673,11 +629,11 @@ def _hom_sweep_checks(
         for o2 in small:
             if o1.context.arity + o2.context.arity > bounds.hom_arity:
                 continue
-            if len(o1.predicate) * len(o2.predicate) > bounds.max_tuple_space:
+            if len(o1) * len(o2) > bounds.max_tuple_space:
                 continue
-            full1 = o1.predicate.tuples
+            full1 = o1.tuples
             id1, id2 = identity_ir(o1), identity_ir(o2)
-            ones1, ones2 = o1.identity_masks, o2.identity_masks
+            ones1, ones2 = _ones(len(o1)), _ones(len(o2))
             # the adjoint-existence route, with the candidate adjoint
             # enumerated, runs on the pairs without extra support
             plain = not (o1.context.extra_support() or o2.context.extra_support())
@@ -741,7 +697,7 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]
             rows = full.rows()
             while len(rows) * len(rows) > bounds.max_tuple_space:
                 rows = rows[:-1]
-            chain_objs.append(_syn_object(c, rows))
+            chain_objs.append(FinRelation(c, frozenset(rows)))
     chain_objs = chain_objs[:2] or [terminal_syn()]
     for o1, o2, o3, o4 in itertools.product(chain_objs, repeat=4):
         as_ = enumerate_relations(o1, o2)
@@ -907,6 +863,11 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
 # (one type at arity 1), 81 rows at 515 MB and 49 rows at 100 MB.
 AXIOMS_MAX_CONTEXTS = 16_384
 AXIOMS_MAX_MASK_BITS = 2**32
+# At the default bounds the hom sweep took 24-87 us per pair of objects on a
+# 2-vCPU host: 12 s for the 254,976 pairs of the largest corpus workspace
+# (three_box_wiring.rl), 20 s for six one-atom types (606,208 pairs) and
+# 310 s for six two-atom types (3,555,328 pairs).
+AXIOMS_MAX_HOM_PAIRS = 300_000
 
 
 def _refuse_large_bounds(model: ModelInstance, arity: int) -> None:
@@ -932,6 +893,26 @@ def _refuse_large_bounds(model: ModelInstance, arity: int) -> None:
         )
 
 
+def _refuse_long_hom_sweep(objs: list[FinRelation], bounds: AxiomBounds) -> None:
+    """Raise before ``_hom_sweep_checks`` would visit more than
+    ``AXIOMS_MAX_HOM_PAIRS`` pairs of objects; the pairs are counted by
+    (arity, rows) bucket, not visited."""
+    sizes = Counter(
+        (o.context.arity, len(o)) for o in objs if o.context.arity <= bounds.hom_arity
+    )
+    pairs = sum(
+        n1 * n2
+        for (a1, r1), n1 in sizes.items()
+        for (a2, r2), n2 in sizes.items()
+        if a1 + a2 <= bounds.hom_arity and r1 * r2 <= bounds.max_tuple_space
+    )
+    if pairs > AXIOMS_MAX_HOM_PAIRS:
+        raise ReglogError(
+            f"axioms at arity {bounds.max_arity}: the hom sweep visits {pairs} "
+            f"pairs of objects, over the limit of {AXIOMS_MAX_HOM_PAIRS} pairs"
+        )
+
+
 def check_regular_axioms(
     model: ModelInstance, bounds: AxiomBounds | None = None
 ) -> AxiomReport:
@@ -941,15 +922,18 @@ def check_regular_axioms(
     checks computed in one sweep share that sweep's time.  Raises
     ``ReglogError``, before building anything, when a bound is negative
     (most sweeps would then try no case and pass unearned) or when
-    ``max_arity`` is too large for the model (see ``_refuse_large_bounds``).
+    ``max_arity`` is too large for the model (see ``_refuse_large_bounds``),
+    and, before any sweep, when the hom sweep would take too long (see
+    ``_refuse_long_hom_sweep``).
     """
     bounds = bounds or AxiomBounds()
     negative = [name for name, value in asdict(bounds).items() if value < 0]
     if negative:
         raise ReglogError(f"axiom bounds must not be negative: {', '.join(negative)}")
     _refuse_large_bounds(model, bounds.max_arity)
-    report = AxiomReport(bounds)
     objs = _objects_for(model, bounds.max_arity, bounds.max_tuple_space)
+    _refuse_long_hom_sweep(objs, bounds)
+    report = AxiomReport(bounds)
     for sweep, args in (
         (_object_law_checks, (objs,)),
         (_terminal_checks, (objs, bounds.max_tuple_space)),
@@ -1023,12 +1007,8 @@ def fundamental_check(
             f"fundamental census of {d1}x{d2} = {d1 * d2} cells is over the "
             f"limit of {FUNDAMENTAL_MAX_CELLS} cells"
         )
-    o1 = SynObject(
-        mk_context((left_type,)), true_rel(mk_context((left_type,)), model)
-    )
-    o2 = SynObject(
-        mk_context((right_type,)), true_rel(mk_context((right_type,)), model)
-    )
+    o1 = true_rel(mk_context((left_type,)), model)
+    o2 = true_rel(mk_context((right_type,)), model)
     relations = functions = 0
     graphs = True
     for r in _relations(o1, o2):

@@ -14,7 +14,7 @@ from typing import Mapping, Union
 from .context import Context
 from .errors import ValidationError
 from .unionfind import UnionFind
-from .wiring import WiringDiagram, identity_wd, normalize, permute_outer_blocks
+from .wiring import WiringDiagram, identity_wd, normalize
 
 Cell = Union[str, "GraphicalTerm"]
 
@@ -143,15 +143,6 @@ def meet_term(left: GraphicalTerm, right: GraphicalTerm) -> GraphicalTerm:
         WiringDiagram((c, c), c, c.port_types, (), (ports, ports, ports))
     )
     return GraphicalTerm(diagram, (left, right))
-
-
-def transpose_term(
-    term: GraphicalTerm, split: tuple[Context, Context]
-) -> GraphicalTerm:
-    """Swap the two declared blocks of the outer shell; cells are untouched."""
-    return GraphicalTerm(
-        permute_outer_blocks(term.diagram, *split), term.cells
-    )
 
 
 def _var(dot: int) -> str:

@@ -267,23 +267,6 @@ def braid_wd(left: Context, right: Context) -> WiringDiagram:
     return graph_wd(braid_cm(left, right))
 
 
-def permute_outer_blocks(
-    w: WiringDiagram, left: Context, right: Context
-) -> WiringDiagram:
-    """Swap the two declared blocks of the outer shell."""
-    if oplus(left, right) != w.outer:
-        raise CompositionError(
-            f"outer shell {w.outer} is not {left} followed by {right}"
-        )
-    n1 = left.arity
-    out = w.wires[-1][n1:] + w.wires[-1][:n1]
-    return normalize(
-        WiringDiagram(
-            w.inner, oplus(right, left), w.dot_types, w.support, (*w.wires[:-1], out)
-        )
-    )
-
-
 def transpose_wd(w: WiringDiagram) -> WiringDiagram:
     """Swap the inner and outer shells of a one-shell diagram."""
     if w.num_slots != 1:

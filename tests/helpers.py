@@ -809,19 +809,17 @@ def oracle_tensor(a, b) -> frozenset:
 
 
 def oracle_braid(left, right) -> frozenset:
-    return frozenset(
-        a + b + b + a for a in left.predicate.tuples for b in right.predicate.tuples
-    )
+    return frozenset(a + b + b + a for a in left.tuples for b in right.tuples)
 
 
 def oracle_delta(o) -> frozenset:
     """The rows of the copy map; the merge map has the same concatenated rows."""
-    return frozenset(row + row + row for row in o.predicate.tuples)
+    return frozenset(row + row + row for row in o.tuples)
 
 
 def oracle_bang(o) -> frozenset:
     """The rows of the discard map; the spawn map has the same concatenated rows."""
-    return o.predicate.tuples
+    return o.tuples
 
 
 def oracle_classify(rel) -> tuple[bool, bool]:
@@ -829,7 +827,7 @@ def oracle_classify(rel) -> tuple[bool, bool]:
     images: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
     for x, y in _split(rel):
         images.setdefault(x, set()).add(y)
-    total = rel.dom.predicate.tuples <= images.keys()
+    total = rel.dom.tuples <= images.keys()
     return total, all(len(ys) == 1 for ys in images.values())
 
 
@@ -872,7 +870,7 @@ def oracle_image(rel) -> tuple[frozenset, frozenset, frozenset]:
 
 def oracle_relations(dom, cod) -> list[frozenset]:
     """Every relation, smallest first, then by sorted concatenated rows."""
-    space = sorted(x + y for x in dom.predicate.tuples for y in cod.predicate.tuples)
+    space = sorted(x + y for x in dom.tuples for y in cod.tuples)
     return [
         frozenset(rows)
         for k in range(len(space) + 1)
@@ -882,8 +880,8 @@ def oracle_relations(dom, cod) -> list[frozenset]:
 
 def oracle_functions(dom, cod) -> list[frozenset]:
     """Every graph of a row map, in the order of the sequence of images."""
-    xs = sorted(dom.predicate.tuples)
-    ys = sorted(cod.predicate.tuples)
+    xs = sorted(dom.tuples)
+    ys = sorted(cod.tuples)
     return [
         frozenset(x + y for x, y in zip(xs, choice))
         for choice in itertools.product(ys, repeat=len(xs))

@@ -29,7 +29,6 @@ from reglog.context import (
 from reglog.dsl import parse_workspace, print_workspace
 from reglog.model import mk_model, true_rel
 from reglog.syncat import (
-    SynObject,
     check_regular_axioms,
     classify,
     compose_ir,
@@ -270,7 +269,7 @@ def test_criterion_7_internal_relations_axioms(acceptance):
 
         def full(ports):
             c = mk_context(ports)
-            return SynObject(c, true_rel(c, model))
+            return true_rel(c, model)
 
         ox, oy, oxy = full(("x",)), full(("y",)), full(("x", "y"))
         pairs = [

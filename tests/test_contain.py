@@ -35,7 +35,7 @@ from reglog.term import (
     meet_term,
     true_term,
 )
-from reglog.wiring import identity_wd, mk_wiring
+from reglog.wiring import mk_wiring
 
 from helpers import (
     ROOT,

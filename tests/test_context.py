@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reglog.context import (
-    ContextMorphism,
     braid_cm,
     compose_cm,
     diagonal_cm,
@@ -29,8 +28,6 @@ from reglog.context import (
     mk_morphism,
     oplus,
     oplus_all,
-    proj1_cm,
-    proj2_cm,
     pullback_cm,
     terminal_cm,
     terminal_ctx,
@@ -115,8 +112,6 @@ class TestConstruction:
                 epi,
                 mono,
                 diagonal_cm(c),
-                proj1_cm(f.dom, c),
-                proj2_cm(f.dom, c),
                 terminal_cm(c),
                 braid_cm(f.dom, c),
             ]
@@ -189,16 +184,10 @@ class TestCategoryLaws:
         a = mk_context(("x", "y"), ("z",))
         b = mk_context(("y",))
         delta = diagonal_cm(a)
-        pi1, pi2 = proj1_cm(a, b), proj2_cm(a, b)
         sigma = braid_cm(a, b)
         assert (delta.dom, delta.cod) == (a, oplus(a, a))
-        assert pi2.dom == oplus(a, b)
         assert terminal_cm(a).cod == terminal_ctx()
         assert (sigma.dom, sigma.cod) == (oplus(a, b), oplus(b, a))
-        # Projections recover the factors of the product context.
-        assert pi1.dom == oplus(a, b)
-        assert pi1.cod == a
-        assert pi2.cod == b
 
 
 class TestEnumerateMorphisms:

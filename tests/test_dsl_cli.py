@@ -641,6 +641,22 @@ class TestCli:
             b"masks for o (+) o (+) o, over the limit of 512 MiB\n"
         )
 
+    def test_axioms_refuses_a_long_hom_sweep(self, tmp_path):
+        # six two-atom types: 3,555,328 pairs of objects, about five minutes
+        types = [f"t{k}" for k in range(6)]
+        text = f"type {', '.join(types)};\n" + "".join(
+            f"domain {t} = {{a, b}};\n" for t in types
+        )
+        start = time.perf_counter()
+        proc = run_module(write_ws(tmp_path, text), "axioms", timeout=30)
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"error: axioms at arity 2: the hom sweep visits 3555328 pairs of "
+            b"objects, over the limit of 300000 pairs\n"
+        )
+
     def test_axioms_refuses_a_negative_bound(self, tmp_path):
         proc = run_module(write_ws(tmp_path), "axioms", "--bound", "-1", timeout=30)
         assert proc.returncode == 2

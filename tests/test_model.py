@@ -28,7 +28,6 @@ from reglog.model import (
     entails_in,
     eval_term,
     lambda_opl,
-    meet_rel,
     mk_model,
     mk_relation,
     pullback_pred,
@@ -37,12 +36,10 @@ from reglog.model import (
     true_rel,
 )
 from reglog.naive import eval_term_naive
-from reglog.term import GraphicalTerm, bare_term, flatten, mk_term, true_term
+from reglog.term import GraphicalTerm, flatten, mk_term, true_term
 from reglog.wiring import mk_wiring, tensor
 
 from helpers import (
-    SHELLS,
-    SIGNATURE,
     TYPES,
     eval_formula,
     galois_law_sweep,

@@ -11,6 +11,7 @@ deliberate sabotage of ``mu_ir``, ``pullback_ir``, ``equalizer_ir``,
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 import subprocess
@@ -22,13 +23,13 @@ import pytest
 
 import reglog.syncat as syncat
 from reglog.context import mk_context, oplus, terminal_ctx
+from reglog.dsl import load_workspace
 from reglog.errors import CompositionError, ReglogError, ValidationError
-from reglog.model import mk_model
+from reglog.model import FinRelation, mk_model, mk_relation, rho_lax
 from reglog.syncat import (
     AxiomBounds,
     Classification,
     InternalRelation,
-    SynObject,
     bang,
     braid_ir,
     check_regular_axioms,
@@ -49,9 +50,7 @@ from reglog.syncat import (
     leq_ir,
     meet_ir,
     mk_internal_relation,
-    mk_syn_object,
     mu_ir,
-    oplus_obj,
     pair_ir,
     pullback_ir,
     subobjects,
@@ -89,11 +88,11 @@ def pair_model():
     )
 
 
-O2 = mk_syn_object(mk_context(("x",)), [("0",), ("1",)])
-O1 = mk_syn_object(mk_context(("y",)), [("0",)])
+O2 = mk_relation(mk_context(("x",)), [("0",), ("1",)])
+O1 = mk_relation(mk_context(("y",)), [("0",)])
 
 
-def rand_ir(rng: Random, dom: SynObject, cod: SynObject) -> InternalRelation:
+def rand_ir(rng: Random, dom: FinRelation, cod: FinRelation) -> InternalRelation:
     space = [x + y for x in dom.sorted_rows for y in cod.sorted_rows]
     return mk_internal_relation(
         dom, cod, [row for row in space if rng.random() < 0.5]
@@ -103,35 +102,51 @@ def rand_ir(rng: Random, dom: SynObject, cod: SynObject) -> InternalRelation:
 # every subobject of three small objects, and the three objects themselves
 SMALL_OBJECTS = [
     *subobjects(O2),
-    *subobjects(oplus_obj(O1, O1)),
-    *subobjects(oplus_obj(O2, O1)),
+    *subobjects(rho_lax(O1, O1)),
+    *subobjects(rho_lax(O2, O1)),
 ]
-FULL_OBJECTS = [O2, oplus_obj(O1, O1), oplus_obj(O2, O1)]
+FULL_OBJECTS = [O2, rho_lax(O1, O1), rho_lax(O2, O1)]
 
 
 class TestObjects:
     def test_object_validation(self):
         with pytest.raises(ValidationError):
-            mk_syn_object(mk_context(("x",)), [("0", "1")])
+            mk_relation(mk_context(("x",)), [("0", "1")])
 
     def test_terminal_object(self):
         t = terminal_syn()
         assert t.context == terminal_ctx()
-        assert t.predicate.rows() == [()]
-        assert oplus_obj(t, O2) == O2 == oplus_obj(O2, t)
+        assert t.rows() == [()]
+        assert rho_lax(t, O2) == O2 == rho_lax(O2, t)
 
     def test_objects_print_their_sorted_rows(self):
         # law-suite witnesses name objects by this form, so two predicates of
         # one size on one context must print apart
         c = mk_context(("x",))
-        assert str(mk_syn_object(c, [("b",), ("a",)])) == "((x), rows [('a',), ('b',)])"
-        assert str(mk_syn_object(c, [("a",)])) != str(mk_syn_object(c, [("b",)]))
+        assert str(mk_relation(c, [("b",), ("a",)])) == "((x), rows [('a',), ('b',)])"
+        assert str(mk_relation(c, [("a",)])) != str(mk_relation(c, [("b",)]))
         assert str(terminal_syn()) == "((), rows [()])"
 
+    def test_cached_rows_stay_out_of_equality_and_repr(self):
+        c = mk_context(("x",))
+        # built alike, so the two frozensets also iterate (and print) alike
+        warm, cold = (mk_relation(c, [("b",), ("a",)]) for _ in range(2))
+        assert warm.sorted_rows == (("a",), ("b",))
+        assert warm.row_index == {("a",): 0, ("b",): 1}
+        assert "sorted_rows" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) == (
+            f"FinRelation(context={c!r}, tuples={cold.tuples!r})"
+        )
+        copy = dataclasses.replace(warm)
+        assert copy == warm and not {"sorted_rows", "row_index"} & vars(copy).keys()
+        smaller = dataclasses.replace(warm, tuples=frozenset({("b",)}))
+        assert smaller.sorted_rows == (("b",),) and smaller.row_index == {("b",): 0}
+
     def test_product_object(self):
-        p = oplus_obj(O2, O1)
+        p = rho_lax(O2, O1)
         assert p.context == oplus(O2.context, O1.context)
-        assert p.predicate.rows() == [("0", "0"), ("1", "0")]
+        assert p.rows() == [("0", "0"), ("1", "0")]
 
     def test_relations_are_immutable_values(self):
         a = mk_internal_relation(O2, O2, [("0", "1")])
@@ -147,7 +162,7 @@ class TestObjects:
                 setattr(a, name, value)
         assert a == b and a.masks == (2, 0)
         assert re.fullmatch(
-            r"InternalRelation\(dom=SynObject\(.*\), cod=SynObject\(.*\), "
+            r"InternalRelation\(dom=FinRelation\(.*\), cod=FinRelation\(.*\), "
             r"masks=\(2, 0\)\)",
             repr(a),
         )
@@ -161,14 +176,14 @@ class TestObjects:
         with pytest.raises(ValidationError):
             graph_ir(O2, O1, {("0",): ("0",), ("1",): ("1",)})
         u = graph_ir(O2, O2, {("0",): ("1",), ("1",): ("0",)})
-        misses = mk_syn_object(oplus(O2.context, O2.context), [("1", "1")])
+        misses = mk_relation(oplus(O2.context, O2.context), [("1", "1")])
         with pytest.raises(ValidationError):
             pair_ir(u, u, misses)
 
     def test_subobject_family(self):
         subs = subobjects(O2)
         assert len(subs) == 4
-        assert [sorted(s.predicate.tuples) for s in subs] == [
+        assert [sorted(s.tuples) for s in subs] == [
             [],
             [("0",)],
             [("1",)],
@@ -206,7 +221,7 @@ class TestRandomRelations:
 class TestCategoryStructure:
     def test_composition_laws_random(self):
         rng = Random(601)
-        objs = [O2, O1, oplus_obj(O2, O1), terminal_syn()]
+        objs = [O2, O1, rho_lax(O2, O1), terminal_syn()]
         for _ in range(300):
             a, b, c, d = (rng.choice(objs) for _ in range(4))
             f = rand_ir(rng, a, b)
@@ -224,7 +239,7 @@ class TestCategoryStructure:
         # The operations build their results without the marginal check of
         # mk_internal_relation; every result must still pass it.
         rng = Random(605)
-        objs = [O2, O1, oplus_obj(O2, O1), terminal_syn()]
+        objs = [O2, O1, rho_lax(O2, O1), terminal_syn()]
         results = []
         for a in objs:
             for b in objs:
@@ -259,7 +274,7 @@ class TestCategoryStructure:
         for r in results:
             assert mk_internal_relation(r.dom, r.cod, r.rows) == r
             for o in (r.dom, r.cod):
-                assert mk_syn_object(o.context, o.predicate.tuples) == o
+                assert mk_relation(o.context, o.tuples) == o
 
     def test_composition_needs_matching_middle(self):
         with pytest.raises(CompositionError):
@@ -297,15 +312,15 @@ class TestCategoryStructure:
             f = rand_ir(rng, O2, O1)
             g = rand_ir(rng, O1, O2)
             t = tensor_ir(f, g)
-            assert t.dom == oplus_obj(O2, O1)
-            assert t.cod == oplus_obj(O1, O2)
+            assert t.dom == rho_lax(O2, O1)
+            assert t.cod == rho_lax(O1, O2)
             assert len(t.rows) == len(f.rows) * len(g.rows)
             # braid naturality: swap before or after acting componentwise
             lhs = compose_ir(braid_ir(O2, O1), tensor_ir(g, f))
             rhs = compose_ir(tensor_ir(f, g), braid_ir(O1, O2))
             assert lhs == rhs
         assert compose_ir(braid_ir(O2, O1), braid_ir(O1, O2)) == identity_ir(
-            oplus_obj(O2, O1)
+            rho_lax(O2, O1)
         )
 
 
@@ -323,7 +338,7 @@ class TestClassification:
         # Totality is the unit inequality, determinism the counit inequality,
         # separately, for every relation between small objects.
         for dom in subobjects(O2):
-            for cod in subobjects(oplus_obj(O1, O1)):
+            for cod in subobjects(rho_lax(O1, O1)):
                 for rel in enumerate_relations(dom, cod):
                     dag = transpose_ir(rel)
                     unit = leq_ir(identity_ir(dom), compose_ir(rel, dag))
@@ -350,7 +365,7 @@ class TestClassification:
 
     def test_function_order_is_discrete(self):
         # No strict inequalities between functions.
-        for dom in (O2, oplus_obj(O2, O1)):
+        for dom in (O2, rho_lax(O2, O1)):
             fns = enumerate_functions(dom, O2)
             for f in fns:
                 for g in fns:
@@ -365,9 +380,9 @@ class TestClassification:
 
     def test_enumerate_functions_count(self):
         assert len(enumerate_functions(O2, O2)) == 4
-        assert len(enumerate_functions(O2, oplus_obj(O2, O2))) == 16
+        assert len(enumerate_functions(O2, rho_lax(O2, O2))) == 16
         assert len(enumerate_functions(terminal_syn(), O2)) == 2
-        empty = mk_syn_object(mk_context(("x",)), [])
+        empty = mk_relation(mk_context(("x",)), [])
         assert enumerate_functions(O2, empty) == []
         assert len(enumerate_functions(empty, O2)) == 1
 
@@ -377,7 +392,7 @@ class TestLimits:
         f = graph_ir(O2, O2, {("0",): ("0",), ("1",): ("0",)})
         g = graph_ir(O2, O2, {("0",): ("0",), ("1",): ("1",)})
         apex, p1, p2 = pullback_ir(f, g)
-        assert sorted(apex.predicate.tuples) == [("0", "0"), ("1", "0")]
+        assert sorted(apex.tuples) == [("0", "0"), ("1", "0")]
         assert compose_ir(p1, f) == compose_ir(p2, g)
         assert is_function(p1) and is_function(p2)
 
@@ -410,14 +425,14 @@ class TestLimits:
         f = graph_ir(O2, O2, {("0",): ("0",), ("1",): ("1",)})
         g = graph_ir(O2, O2, {("0",): ("0",), ("1",): ("0",)})
         obj, incl = equalizer_ir(f, g)
-        assert sorted(obj.predicate.tuples) == [("0",)]
+        assert sorted(obj.tuples) == [("0",)]
         assert compose_ir(incl, f) == compose_ir(incl, g)
         assert is_mono_ir(incl)
 
     def test_image_factorisation_random(self):
         rng = Random(604)
         for _ in range(200):
-            rel = rand_ir(rng, O2, oplus_obj(O2, O1))
+            rel = rand_ir(rng, O2, rho_lax(O2, O1))
             epi, mono = image_ir(rel)
             assert compose_ir(epi, mono) == rel
             assert is_regular_epi_ir(epi)
@@ -434,8 +449,8 @@ class TestAgainstRowOracle:
 
     def test_structure_maps(self):
         for o in SMALL_OBJECTS:
-            two = oplus_obj(o, o)
-            assert identity_ir(o).rows == frozenset(x + x for x in o.predicate.tuples)
+            two = rho_lax(o, o)
+            assert identity_ir(o).rows == frozenset(x + x for x in o.tuples)
             assert delta_ir(o).rows == mu_ir(o).rows == oracle_delta(o)
             assert (mu_ir(o).dom, mu_ir(o).cod) == (two, o)
             assert bang(o).rows == eta_ir(o).rows == oracle_bang(o)
@@ -452,9 +467,9 @@ class TestAgainstRowOracle:
                 assert (verdict.total, verdict.deterministic) == oracle_classify(f)
                 image, epi_rows, mono_rows = oracle_image(f)
                 epi, mono = image_ir(f)
-                assert epi.cod.predicate.tuples == image
+                assert epi.cod.tuples == image
                 assert (epi.rows, mono.rows) == (epi_rows, mono_rows)
-                assert is_regular_epi_ir(f) == (image == b.predicate.tuples)
+                assert is_regular_epi_ir(f) == (image == b.tuples)
                 for g in rels:
                     assert leq_ir(f, g) == oracle_leq(f, g)
                     assert meet_ir(f, g).rows == oracle_meet(f, g)
@@ -462,12 +477,12 @@ class TestAgainstRowOracle:
             for t1 in fns:
                 for t2 in fns:
                     obj, incl = equalizer_ir(t1, t2)
-                    assert (obj.predicate.tuples, incl.rows) == oracle_equalizer(t1, t2)
+                    assert (obj.tuples, incl.rows) == oracle_equalizer(t1, t2)
 
     def test_composites(self):
         for a, b in itertools.product(SMALL_OBJECTS, repeat=2):
             for c in FULL_OBJECTS:
-                target = oplus_obj(b, c)
+                target = rho_lax(b, c)
                 for f in enumerate_relations(a, b):
                     for g in enumerate_relations(b, c):
                         assert compose_ir(f, g).rows == oracle_compose(f, g)
@@ -477,7 +492,7 @@ class TestAgainstRowOracle:
                 for t1 in enumerate_functions(a, c):
                     for t2 in enumerate_functions(b, c):
                         apex, p1, p2 = pullback_ir(t1, t2)
-                        assert (apex.predicate.tuples, p1.rows, p2.rows) == (
+                        assert (apex.tuples, p1.rows, p2.rows) == (
                             oracle_pullback(t1, t2)
                         )
 
@@ -487,16 +502,16 @@ class TestAgainstRowOracle:
             O1,
             O2,
             terminal_syn(),
-            oplus_obj(O2, O1),
-            oplus_obj(O2, O2),
-            oplus_obj(oplus_obj(O2, O2), O1),
+            rho_lax(O2, O1),
+            rho_lax(O2, O2),
+            rho_lax(rho_lax(O2, O2), O1),
         ]
 
-        def pick(o: SynObject) -> list:
-            return [row for row in sorted(o.predicate.tuples) if rng.random() < 0.6]
+        def pick(o: FinRelation) -> list:
+            return [row for row in sorted(o.tuples) if rng.random() < 0.6]
 
-        def rand_rel(dom: SynObject, cod: SynObject) -> InternalRelation:
-            rows = pick(oplus_obj(dom, cod))
+        def rand_rel(dom: FinRelation, cod: FinRelation) -> InternalRelation:
+            rows = pick(rho_lax(dom, cod))
             rel = mk_internal_relation(dom, cod, rows)
             assert rel.rows == frozenset(rows)
             return rel
@@ -516,12 +531,12 @@ class TestAgainstRowOracle:
             verdict = classify(f)
             assert (verdict.total, verdict.deterministic) == oracle_classify(f)
             epi, mono = image_ir(f)
-            assert (epi.cod.predicate.tuples, epi.rows, mono.rows) == oracle_image(f)
+            assert (epi.cod.tuples, epi.rows, mono.rows) == oracle_image(f)
             # a target that may miss some pairs: pair_ir must then refuse
-            target = mk_syn_object(oplus(b.context, c.context), pick(oplus_obj(b, c)))
+            target = mk_relation(oplus(b.context, c.context), pick(rho_lax(b, c)))
             paired = oracle_pair(f, u)
             n = a.context.arity
-            if {row[n:] for row in paired} <= target.predicate.tuples:
+            if {row[n:] for row in paired} <= target.tuples:
                 assert pair_ir(f, u, target).rows == paired
             else:
                 with pytest.raises(ValidationError):
@@ -529,9 +544,9 @@ class TestAgainstRowOracle:
             t1, t1b = (rng.choice(enumerate_functions(a, c)) for _ in range(2))
             t2 = rng.choice(enumerate_functions(b, c))
             apex, p1, p2 = pullback_ir(t1, t2)
-            assert (apex.predicate.tuples, p1.rows, p2.rows) == oracle_pullback(t1, t2)
+            assert (apex.tuples, p1.rows, p2.rows) == oracle_pullback(t1, t2)
             obj, incl = equalizer_ir(t1, t1b)
-            assert (obj.predicate.tuples, incl.rows) == oracle_equalizer(t1, t1b)
+            assert (obj.tuples, incl.rows) == oracle_equalizer(t1, t1b)
 
 
 def criterion_model():
@@ -543,7 +558,7 @@ def criterion_model():
 
 
 def broken_mu(o):
-    return mk_internal_relation(oplus_obj(o, o), o, [])
+    return mk_internal_relation(rho_lax(o, o), o, [])
 
 
 def broken_pullback(t1, t2):
@@ -752,6 +767,52 @@ class TestAxiomSuite:
                 syncat._refuse_large_bounds(model, arity)
         else:
             syncat._refuse_large_bounds(model, arity)
+
+    @pytest.mark.parametrize(
+        "types, atoms, pairs",
+        [
+            (2, 2, 2_112),  # the domains of the criterion-7 model
+            (4, 2, 107_520),
+            (5, 1, 111_616),
+            (6, 1, 606_208),
+            (7, 1, 3_162_112),
+            (6, 2, 3_555_328),  # about five minutes of sweeping
+        ],
+    )
+    def test_hom_pairs_are_counted_not_visited(self, types, atoms, pairs, monkeypatch):
+        domains = {
+            f"t{k}": tuple(f"a{k}_{i}" for i in range(atoms)) for k in range(types)
+        }
+        bounds = AxiomBounds()
+        objs = syncat._objects_for(mk_model(domains, {}), 2, bounds.max_tuple_space)
+        if pairs < 200_000:
+            small = [o for o in objs if o.context.arity <= bounds.hom_arity]
+            assert pairs == sum(
+                o1.context.arity + o2.context.arity <= bounds.hom_arity
+                and len(o1) * len(o2) <= bounds.max_tuple_space
+                for o1 in small
+                for o2 in small
+            )
+        assert syncat.AXIOMS_MAX_HOM_PAIRS == 300_000
+        if pairs > syncat.AXIOMS_MAX_HOM_PAIRS:
+            with pytest.raises(
+                ReglogError,
+                match=f"^axioms at arity 2: the hom sweep visits {pairs} pairs of "
+                "objects, over the limit of 300000 pairs$",
+            ):
+                syncat._refuse_long_hom_sweep(objs, bounds)
+        else:
+            syncat._refuse_long_hom_sweep(objs, bounds)
+            monkeypatch.setattr(syncat, "AXIOMS_MAX_HOM_PAIRS", pairs - 1)
+            with pytest.raises(ReglogError, match=f"visits {pairs} pairs"):
+                syncat._refuse_long_hom_sweep(objs, bounds)
+
+    def test_every_corpus_workspace_is_under_the_hom_pair_limit(self):
+        bounds = AxiomBounds()
+        for path in sorted((ROOT / "corpus").glob("*.rl")):
+            model = load_workspace(path).model()
+            objs = syncat._objects_for(model, 2, bounds.max_tuple_space)
+            syncat._refuse_long_hom_sweep(objs, bounds)
 
     def test_a_seven_atom_domain_passes_at_the_default_bounds(self):
         # 49-row objects: the masks of o (+) o (+) o are about 35 MB

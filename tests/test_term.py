@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 
-from reglog.context import mk_context, oplus, terminal_ctx
+from reglog.context import mk_context, terminal_ctx
 from reglog.dsl import load_workspace
 from reglog.errors import ValidationError
 from reglog.term import (
@@ -24,7 +24,6 @@ from reglog.term import (
     mk_term,
     outer_variables,
     to_formula,
-    transpose_term,
     true_term,
 )
 from reglog.wiring import identity_wd, mk_wiring, substitute
@@ -85,14 +84,8 @@ class TestConstruction:
         terms = []
         for _ in range(200):
             t = rand_term(rng)
-            c, c2 = rand_context(rng), rand_context(rng)
-            split = rand_term(rng, outer=oplus(c, c2))
-            terms += [
-                flatten(t),
-                true_term(c),
-                meet_term(t, t),
-                transpose_term(split, (c, c2)),
-            ]
+            c = rand_context(rng)
+            terms += [flatten(t), true_term(c), meet_term(t, t)]
             if t.cells:
                 terms.append(drop_cell(t, rng.randrange(len(t.cells))))
         terms += [bare_term(name, SIGNATURE) for name in sorted(SHELLS)]
@@ -263,14 +256,6 @@ class TestCombinators:
         flat = flatten(m)
         assert flat.cells == ("R", "R")
         assert to_formula(flat) == "R(v1,v2) ∧ R(v1,v2)"
-
-    def test_transpose_swaps_outer_blocks(self):
-        a, b = mk_context(("x",)), mk_context(("y", "x"))
-        t = true_term(oplus(a, b))
-        swapped = transpose_term(t, (a, b))
-        assert swapped.outer == oplus(b, a)
-        assert swapped.cells == t.cells
-        assert transpose_term(swapped, (b, a)).outer == t.outer
 
     def test_drop_cell_leaves_support_behind(self):
         w = mk_wiring((SHELLS["U"],), terminal_ctx(), ("x",), ((0,), ()))

@@ -14,14 +14,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from reglog.context import (
-    compose_cm,
-    identity_cm,
-    mk_context,
-    mk_morphism,
-    oplus,
-    terminal_ctx,
-)
+from reglog.context import compose_cm, identity_cm, mk_context, oplus, terminal_ctx
 from reglog.errors import CompositionError, ValidationError
 from reglog.wiring import (
     WiringDiagram,
@@ -39,7 +32,6 @@ from reglog.wiring import (
     mk_wiring,
     mu_wd,
     normalize,
-    permute_outer_blocks,
     substitute,
     tensor,
     transpose_wd,
@@ -153,17 +145,12 @@ class TestNormalForm:
             shells = [rand_context(rng) for _ in range(rng.randrange(3))]
             w = rand_wiring(rng, shells)
             left, right = rand_context(rng), rand_context(rng)
-            blocks = rand_wiring(rng, shells, oplus(left, right))
             arrow = rand_wiring(rng, [rand_context(rng)])
             f = rand_morphism_pair(rng, max_arity=3)
             diagrams += [
                 tensor(w, arrow),
                 as_morphism(w),
                 transpose_wd(arrow),
-                permute_outer_blocks(
-                    rand_wiring(rng, [], oplus(left, right)), left, right
-                ),
-                permute_outer_blocks(blocks, left, right),
                 identity_wd(left),
                 delta_wd(left),
                 mu_wd(left),
