@@ -6,7 +6,9 @@ with two binary predicates when no file is given.  The report covers every
 named structural check at the requested search bounds, then a census of
 relations and functions for each ordered pair of types.  Each check shows
 the wall time of the sweep that computed it, as the report records it; each
-census shows its own wall time.  Exit status is 0 when everything passes, 1 otherwise.
+census shows its own wall time.  Exit status is 0 when everything passes, 1
+when a check or census fails, and 2, with the message on standard error, when
+the workspace cannot be read or a bound or census is refused.
 
 Usage::
 
@@ -23,6 +25,7 @@ import time
 
 from reglog.context import mk_context
 from reglog.dsl import load_workspace
+from reglog.errors import ReglogError
 from reglog.model import mk_model
 from reglog.syncat import AxiomBounds, check_regular_axioms, fundamental_check
 
@@ -36,6 +39,14 @@ def builtin_model():
 
 
 def main() -> int:
+    try:
+        return run()
+    except (ReglogError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workspace", help="workspace file providing the model")
     parser.add_argument("--arity", type=int, default=2, help="max context arity")

@@ -27,11 +27,14 @@ the per-object copy/merge/discard/spawn laws, and the order-theoretic facts
 about functions.  Every failed check carries a witness, so a deliberately
 broken operation shows up with a concrete counterexample.  A check keeps only
 its first witness, in sweep order, but keeps counting every case it tries, so
-the case counts are the same whether the check passes or fails.  Negative
-bounds, and bounds under which the sweeps would pass ``AXIOMS_MAX_CONTEXTS``
-contexts or ``AXIOMS_MAX_MASK_BITS`` bits of masks, are refused before
-anything is built; an object family whose hom sweep would visit more than
-``AXIOMS_MAX_HOM_PAIRS`` pairs is refused before any sweep runs.
+the case counts are the same whether the check passes or fails.  Two objects
+with the same number of rows are isomorphic, and every law of the hom sweep
+and the per-object sweeps is invariant under isomorphism, so those sweeps run
+on the skeleton: once per shape of object or pair, counted for every member.
+Negative bounds, and bounds under which the sweeps would pass one of the
+``AXIOMS_MAX_*`` limits (contexts, bits of masks, objects, relations,
+associativity triples, objects of the limit family), are refused before
+anything is built.
 
 Where a sweep reads only the masks of a composite, it composes the bare masks
 with ``_compose`` instead of building a relation to throw away.  The sweeps
@@ -43,6 +46,7 @@ up in the report.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -552,140 +556,198 @@ def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[FinRelation
     return family
 
 
-def _object_law_checks(objs: list[FinRelation]) -> list[CheckResult]:
-    frob = CheckResult("frobenius_special_per_object", True, 0)
-    adjm = CheckResult("adjoint_monoid_inequalities", True, 0)
+_OBJECT_LAWS = ("frobenius_special_per_object", "adjoint_monoid_inequalities")
+_TERMINAL_LAWS = ("terminal_map_unique", "subobject_lattice_size")
+_HOM_LAWS = (
+    "validity_equals_frame_condition",
+    "function_characterizations_agree",
+    "order_on_functions_discrete",
+    "entailments_sharpen_to_equalities",
+    "transpose_involutive",
+    "composition_unital",
+    "left_adjoints_are_the_functions",
+)
+
+
+def _fresh(names: tuple[str, ...]) -> list[CheckResult]:
+    return [CheckResult(name, True, 0) for name in names]
+
+
+def _buckets(objs: Iterable[FinRelation], key) -> dict:
+    """``key(o)`` -> (its first object, how many objects share it), in the
+    order in which the keys first appear."""
+    out: dict = {}
     for o in objs:
-        ident = identity_ir(o)
-        delta = delta_ir(o)
-        mu = mu_ir(o)
-        eps = bang(o)
-        eta = eta_ir(o)
-        two = rho_lax(o, o)
-        id2 = identity_ir(two)
-        # comonoid: counit both sides, coassociativity, cocommutativity
-        counit_l = compose_ir(delta, tensor_ir(eps, ident))
-        counit_r = compose_ir(delta, tensor_ir(ident, eps))
-        coassoc_l = compose_ir(delta, tensor_ir(delta, ident))
-        coassoc_r = compose_ir(delta, tensor_ir(ident, delta))
-        cocomm = compose_ir(delta, braid_ir(o, o))
-        frobenius_l = compose_ir(mu, delta)
-        frobenius_r = compose_ir(tensor_ir(ident, delta), tensor_ir(mu, ident))
-        special = compose_ir(delta, mu)
-        laws = [
-            counit_l.masks == ident.masks,
-            counit_r.masks == ident.masks,
-            coassoc_l.masks == coassoc_r.masks,
-            cocomm.masks == delta.masks,
-            frobenius_l.masks == frobenius_r.masks,
-            special.masks == ident.masks,
-        ]
-        if not frob.count(all(laws), len(laws)):
-            frob.fail(f"object {o}")
-        ineqs = [
-            leq_ir(ident, compose_ir(delta, mu)),
-            leq_ir(compose_ir(mu, delta), id2),
-            leq_ir(ident, compose_ir(eps, eta)),
-            leq_ir(
-                compose_ir(eta, eps),
-                identity_ir(terminal_syn()),
-            ),
-        ]
-        if not adjm.count(all(ineqs), len(ineqs)):
-            adjm.fail(f"object {o}")
+        k = key(o)
+        first, count = out.get(k, (o, 0))
+        out[k] = (first, count + 1)
+    return out
+
+
+def _on_skeleton(names: tuple[str, ...], classes, decide) -> list[CheckResult]:
+    """Decide a sweep's laws once per shape and weight them by its members.
+
+    ``classes`` yields ``(shape, args, members)`` in sweep order, where
+    ``args`` is the first member of the class in sweep order and ``members``
+    the number of objects (or pairs) in it.  Objects with the same number of
+    rows are isomorphic and every law here is invariant under isomorphism,
+    so ``decide(*args)`` holds for one member exactly when it holds for all
+    of them, with the same case count.  A shape is decided on its first
+    member in sweep order, so the first failing class met here is also the
+    first failing member of a full sweep, and its witness is the same.
+    """
+    totals = _fresh(names)
+    decided: dict = {}
+    for shape, args, members in classes:
+        parts = decided.get(shape)
+        if parts is None:
+            parts = decided[shape] = decide(*args)
+        for total, part in zip(totals, parts):
+            if not total.count(part.ok, part.cases * members):
+                total.fail(part.witness)
+    return totals
+
+
+def _object_laws(o: FinRelation) -> list[CheckResult]:
+    frob, adjm = _fresh(_OBJECT_LAWS)
+    ident = identity_ir(o)
+    delta = delta_ir(o)
+    mu = mu_ir(o)
+    eps = bang(o)
+    eta = eta_ir(o)
+    two = rho_lax(o, o)
+    id2 = identity_ir(two)
+    # comonoid: counit both sides, coassociativity, cocommutativity
+    counit_l = compose_ir(delta, tensor_ir(eps, ident))
+    counit_r = compose_ir(delta, tensor_ir(ident, eps))
+    coassoc_l = compose_ir(delta, tensor_ir(delta, ident))
+    coassoc_r = compose_ir(delta, tensor_ir(ident, delta))
+    cocomm = compose_ir(delta, braid_ir(o, o))
+    frobenius_l = compose_ir(mu, delta)
+    frobenius_r = compose_ir(tensor_ir(ident, delta), tensor_ir(mu, ident))
+    special = compose_ir(delta, mu)
+    laws = [
+        counit_l.masks == ident.masks,
+        counit_r.masks == ident.masks,
+        coassoc_l.masks == coassoc_r.masks,
+        cocomm.masks == delta.masks,
+        frobenius_l.masks == frobenius_r.masks,
+        special.masks == ident.masks,
+    ]
+    if not frob.count(all(laws), len(laws)):
+        frob.fail(f"object {o}")
+    ineqs = [
+        leq_ir(ident, compose_ir(delta, mu)),
+        leq_ir(compose_ir(mu, delta), id2),
+        leq_ir(ident, compose_ir(eps, eta)),
+        leq_ir(
+            compose_ir(eta, eps),
+            identity_ir(terminal_syn()),
+        ),
+    ]
+    if not adjm.count(all(ineqs), len(ineqs)):
+        adjm.fail(f"object {o}")
     return [frob, adjm]
 
 
-def _terminal_checks(objs: list[FinRelation], cap: int) -> list[CheckResult]:
-    res = CheckResult("terminal_map_unique", True, 0)
-    sub = CheckResult("subobject_lattice_size", True, 0)
+def _object_law_checks(objs: list[FinRelation]) -> list[CheckResult]:
+    classes = ((n, (o,), k) for n, (o, k) in _buckets(objs, len).items())
+    return _on_skeleton(_OBJECT_LAWS, classes, _object_laws)
+
+
+def _terminal_laws(o: FinRelation) -> list[CheckResult]:
+    res, sub = _fresh(_TERMINAL_LAWS)
     point = terminal_syn()
-    for o in objs:
-        if len(o) <= cap:
-            functions = [
-                r for r in enumerate_relations(o, point) if classify(r).function
-            ]
-            if not res.count(
-                len(functions) == 1 and functions[0].masks == bang(o).masks
-            ):
-                res.fail(f"object {o}: {len(functions)} maps to the point")
-            if not sub.count(len(subobjects(o)) == 2 ** len(o)):
-                sub.fail(f"object {o}")
+    functions = [r for r in enumerate_relations(o, point) if classify(r).function]
+    if not res.count(len(functions) == 1 and functions[0].masks == bang(o).masks):
+        res.fail(f"object {o}: {len(functions)} maps to the point")
+    if not sub.count(len(subobjects(o)) == 2 ** len(o)):
+        sub.fail(f"object {o}")
     return [res, sub]
+
+
+def _terminal_checks(objs: list[FinRelation], cap: int) -> list[CheckResult]:
+    small = (o for o in objs if len(o) <= cap)
+    classes = ((n, (o,), k) for n, (o, k) in _buckets(small, len).items())
+    return _on_skeleton(_TERMINAL_LAWS, classes, _terminal_laws)
+
+
+def _hom_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
+    validity, threeway, discrete, remark, invol, unital, adjoint = _fresh(_HOM_LAWS)
+    full1 = o1.tuples
+    id1, id2 = identity_ir(o1), identity_ir(o2)
+    ones1, ones2 = _ones(len(o1)), _ones(len(o2))
+    # the adjoint-existence route, with the candidate adjoint
+    # enumerated, runs on the pairs without extra support
+    plain = not (o1.context.extra_support() or o2.context.extra_support())
+    backwards = enumerate_relations(o2, o1) if plain else []
+    functions = []
+    for rel in enumerate_relations(o1, o2):
+        # frame condition: squeezing between the identities is a no-op
+        left_unit = _compose(ones1, rel.masks)
+        if not validity.count(_compose(left_unit, ones2) == rel.masks):
+            validity.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
+        cls = classify(rel)  # raises if the two routes disagree
+        threeway.count(True)
+        if cls.function:
+            functions.append(rel)
+        if not invol.count(transpose_ir(transpose_ir(rel)).masks == rel.masks):
+            invol.fail(f"{o1} -> {o2}")
+        right_unit = _compose(rel.masks, ones2)
+        if not unital.count(left_unit == rel.masks == right_unit):
+            unital.fail(f"{o1} -> {o2}")
+        good = True
+        if cls.total and rel.left_marginal() != full1:
+            good = False
+        if cls.deterministic:
+            wide = set()
+            thin = set()
+            for x, y in rel.split_rows():
+                thin.add(x + y + y)
+                for x2, y2 in rel.split_rows():
+                    if x2 == x:
+                        wide.add(x + y + y2)
+            if wide != thin:
+                good = False
+        if not remark.count(good):
+            remark.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
+        if plain:
+            has_adjoint = any(
+                leq_ir(id1, compose_ir(rel, xi))
+                and leq_ir(compose_ir(xi, rel), id2)
+                for xi in backwards
+            )
+            if not adjoint.count(has_adjoint == cls.function):
+                adjoint.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
+    for fa in functions:
+        for fb in functions:
+            # strict inclusion, row by row; tuple ``<`` would
+            # compare the masks as numbers
+            if not discrete.count(
+                fa.masks == fb.masks
+                or any(a & ~b for a, b in zip(fa.masks, fb.masks))
+            ):
+                discrete.fail(f"{o1} -> {o2}")
+    return [validity, threeway, discrete, remark, invol, unital, adjoint]
+
+
+def _hom_shape(o: FinRelation) -> tuple[int, int, bool]:
+    """What the hom sweep reads of an object: arity, rows, no extra support."""
+    return o.context.arity, len(o), not o.context.extra_support()
 
 
 def _hom_sweep_checks(
     objs: list[FinRelation], bounds: AxiomBounds
 ) -> list[CheckResult]:
-    validity = CheckResult("validity_equals_frame_condition", True, 0)
-    threeway = CheckResult("function_characterizations_agree", True, 0)
-    discrete = CheckResult("order_on_functions_discrete", True, 0)
-    remark = CheckResult("entailments_sharpen_to_equalities", True, 0)
-    invol = CheckResult("transpose_involutive", True, 0)
-    unital = CheckResult("composition_unital", True, 0)
-    adjoint = CheckResult("left_adjoints_are_the_functions", True, 0)
-    small = [o for o in objs if o.context.arity <= bounds.hom_arity]
-    for o1 in small:
-        for o2 in small:
-            if o1.context.arity + o2.context.arity > bounds.hom_arity:
-                continue
-            if len(o1) * len(o2) > bounds.max_tuple_space:
-                continue
-            full1 = o1.tuples
-            id1, id2 = identity_ir(o1), identity_ir(o2)
-            ones1, ones2 = _ones(len(o1)), _ones(len(o2))
-            # the adjoint-existence route, with the candidate adjoint
-            # enumerated, runs on the pairs without extra support
-            plain = not (o1.context.extra_support() or o2.context.extra_support())
-            backwards = enumerate_relations(o2, o1) if plain else []
-            functions = []
-            for rel in enumerate_relations(o1, o2):
-                # frame condition: squeezing between the identities is a no-op
-                left_unit = _compose(ones1, rel.masks)
-                if not validity.count(_compose(left_unit, ones2) == rel.masks):
-                    validity.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
-                cls = classify(rel)  # raises if the two routes disagree
-                threeway.count(True)
-                if cls.function:
-                    functions.append(rel)
-                if not invol.count(transpose_ir(transpose_ir(rel)).masks == rel.masks):
-                    invol.fail(f"{o1} -> {o2}")
-                right_unit = _compose(rel.masks, ones2)
-                if not unital.count(left_unit == rel.masks == right_unit):
-                    unital.fail(f"{o1} -> {o2}")
-                good = True
-                if cls.total and rel.left_marginal() != full1:
-                    good = False
-                if cls.deterministic:
-                    wide = set()
-                    thin = set()
-                    for x, y in rel.split_rows():
-                        thin.add(x + y + y)
-                        for x2, y2 in rel.split_rows():
-                            if x2 == x:
-                                wide.add(x + y + y2)
-                    if wide != thin:
-                        good = False
-                if not remark.count(good):
-                    remark.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
-                if plain:
-                    has_adjoint = any(
-                        leq_ir(id1, compose_ir(rel, xi))
-                        and leq_ir(compose_ir(xi, rel), id2)
-                        for xi in backwards
-                    )
-                    if not adjoint.count(has_adjoint == cls.function):
-                        adjoint.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
-            for fa in functions:
-                for fb in functions:
-                    # strict inclusion, row by row; tuple ``<`` would
-                    # compare the masks as numbers
-                    if not discrete.count(
-                        fa.masks == fb.masks
-                        or any(a & ~b for a, b in zip(fa.masks, fb.masks))
-                    ):
-                        discrete.fail(f"{o1} -> {o2}")
-    return [validity, threeway, discrete, remark, invol, unital, adjoint]
+    small = (o for o in objs if o.context.arity <= bounds.hom_arity)
+    buckets = _buckets(small, _hom_shape).items()
+    classes = (
+        ((r1, r2, p1 and p2), (o1, o2), n1 * n2)
+        for (a1, r1, p1), (o1, n1) in buckets
+        for (a2, r2, p2), (o2, n2) in buckets
+        if a1 + a2 <= bounds.hom_arity and r1 * r2 <= bounds.max_tuple_space
+    )
+    return _on_skeleton(_HOM_LAWS, classes, _hom_laws)
 
 
 def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]:
@@ -863,27 +925,53 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
 # (one type at arity 1), 81 rows at 515 MB and 49 rows at 100 MB.
 AXIOMS_MAX_CONTEXTS = 16_384
 AXIOMS_MAX_MASK_BITS = 2**32
-# At the default bounds the hom sweep took 24-87 us per pair of objects on a
-# 2-vCPU host: 12 s for the 254,976 pairs of the largest corpus workspace
-# (three_box_wiring.rl), 20 s for six one-atom types (606,208 pairs) and
-# 310 s for six two-atom types (3,555,328 pairs).
-AXIOMS_MAX_HOM_PAIRS = 300_000
+
+
+# Measured on a 2-vCPU host.  Objects: nine two-atom types at the default
+# bounds build 194,560 (peak 89 MB, 2.0 s for the whole suite), and 131,152
+# objects of up to 16 rows peaked at 178 MB.  Relations: the hom sweep takes
+# about 3.5 us per relation or candidate adjoint (975,456 in 3.3 s), and the
+# terminal sweep about 19 us per relation and subobject it lists (131,088 in
+# 2.5 s).  Associativity: 65,536 triples took 31 ms and 2^27 took 105 s.  The
+# limit checks grow about as n^4 in their family of n objects: 16 objects took
+# 7 s where half of them have two rows (six two-atom types), 0.6 s on one-atom
+# types.
+AXIOMS_MAX_OBJECTS = 2**18
+AXIOMS_MAX_RELATIONS = 2**19
+AXIOMS_MAX_ASSOC_TRIPLES = 2**20
+AXIOMS_MAX_LIMIT_OBJECTS = 16
+
+
+def _context_classes(
+    model: ModelInstance, max_arity: int
+) -> Iterator[tuple[int, bool, int, int]]:
+    """The contexts ``contexts_up_to`` lists, counted without building them:
+    ``(arity, no extra support, rows of the full relation, contexts)``."""
+    size = {t: len(d) for t, d in model.domains.items()}
+    types = sorted(size)
+    for arity in range(max_arity + 1):
+        for typing in itertools.product(types, repeat=arity):
+            rows = math.prod(size[t] for t in typing)
+            free = [t for t in types if t not in typing]
+            inhabited = 2 ** sum(1 for t in free if size[t])
+            # every subset of the free types is an extra support, and one
+            # with an empty domain empties the full relation
+            yield arity, True, rows, 1
+            yield arity, False, rows, inhabited - 1
+            yield arity, False, 0, 2 ** len(free) - inhabited
 
 
 def _refuse_large_bounds(model: ModelInstance, arity: int) -> None:
     """Raise before the context family or the masks of the Frobenius checks
     pass the limits above; both grow exponentially with the arity."""
-    types = sorted(model.domains)
     contexts = 0
-    for a in range(arity + 1):
-        for typing in itertools.product(types, repeat=a):
-            # contexts_up_to adds every subset of the unused types as support
-            contexts += 2 ** (len(types) - len(set(typing)))
-            if contexts > AXIOMS_MAX_CONTEXTS:
-                raise ReglogError(
-                    f"axioms at arity {arity} over {len(types)} types sweeps "
-                    f"more than the limit of {AXIOMS_MAX_CONTEXTS} contexts"
-                )
+    for *_, count in _context_classes(model, arity):
+        contexts += count
+        if contexts > AXIOMS_MAX_CONTEXTS:
+            raise ReglogError(
+                f"axioms at arity {arity} over {len(model.domains)} types sweeps "
+                f"more than the limit of {AXIOMS_MAX_CONTEXTS} contexts"
+            )
     rows = max(map(len, model.domains.values()), default=0) ** max(arity, 0)
     if rows**5 > AXIOMS_MAX_MASK_BITS:
         raise ReglogError(
@@ -893,23 +981,85 @@ def _refuse_large_bounds(model: ModelInstance, arity: int) -> None:
         )
 
 
-def _refuse_long_hom_sweep(objs: list[FinRelation], bounds: AxiomBounds) -> None:
-    """Raise before ``_hom_sweep_checks`` would visit more than
-    ``AXIOMS_MAX_HOM_PAIRS`` pairs of objects; the pairs are counted by
-    (arity, rows) bucket, not visited."""
-    sizes = Counter(
-        (o.context.arity, len(o)) for o in objs if o.context.arity <= bounds.hom_arity
-    )
-    pairs = sum(
-        n1 * n2
-        for (a1, r1), n1 in sizes.items()
-        for (a2, r2), n2 in sizes.items()
-        if a1 + a2 <= bounds.hom_arity and r1 * r2 <= bounds.max_tuple_space
-    )
-    if pairs > AXIOMS_MAX_HOM_PAIRS:
+def _counted_shapes(
+    model: ModelInstance, max_arity: int, cap: int
+) -> Counter[tuple[int, int, bool]]:
+    """How many objects of each ``_hom_shape`` ``_objects_for`` builds,
+    counted from the domain sizes; a model relation counts even where it
+    equals another object."""
+    shapes: Counter[tuple[int, int, bool]] = Counter()
+    for arity, plain, rows, contexts in _context_classes(model, max_arity):
+        if not contexts:
+            continue
+        if rows <= cap:
+            for k in range(rows + 1):
+                shapes[arity, k, plain] += contexts * math.comb(rows, k)
+        else:
+            for k in (0, rows, 1, rows // 2):
+                shapes[arity, k, plain] += contexts
+    for rel in model.relations.values():
+        if rel.context.arity <= max_arity:
+            shapes[_hom_shape(rel)] += 1
+    return shapes
+
+
+def _refuse_long_sweeps(model: ModelInstance, bounds: AxiomBounds) -> None:
+    """Raise before the work that grows with ``max_tuple_space`` or
+    ``limit_objects`` passes the limits above, counted from the domain sizes.
+
+    The relations are those the per-shape sweeps enumerate, with each
+    candidate adjoint the hom sweep tries and each subobject the terminal
+    sweep lists.
+    """
+    cap = bounds.max_tuple_space
+    shapes = _counted_shapes(model, bounds.max_arity, cap)
+    objects = sum(shapes.values())
+    if objects > AXIOMS_MAX_OBJECTS:
         raise ReglogError(
-            f"axioms at arity {bounds.max_arity}: the hom sweep visits {pairs} "
-            f"pairs of objects, over the limit of {AXIOMS_MAX_HOM_PAIRS} pairs"
+            f"axioms at max_tuple_space {cap} builds {objects} objects, over "
+            f"the limit of {AXIOMS_MAX_OBJECTS} objects"
+        )
+    homs = {
+        (r1, r2, p1 and p2)
+        for a1, r1, p1 in shapes
+        for a2, r2, p2 in shapes
+        if a1 + a2 <= bounds.hom_arity and r1 * r2 <= cap
+    }
+    spaces = {rows for _, rows, _ in shapes if rows <= cap}
+    relations = sum(2 ** (n + 1) for n in spaces)
+    relations += sum(
+        2 ** (r1 * r2) * (1 + 2 ** (r1 * r2) if plain else 1) for r1, r2, plain in homs
+    )
+    if relations > AXIOMS_MAX_RELATIONS:
+        raise ReglogError(
+            f"axioms at max_tuple_space {cap}: the per-shape sweeps try "
+            f"{relations} relations, over the limit of {AXIOMS_MAX_RELATIONS} "
+            "relations"
+        )
+    # _assoc_check chains the first two one-port objects, cut to
+    # isqrt(max_tuple_space) rows, or the point
+    side = math.isqrt(cap)
+    chain = [min(len(model.domain(t)), side) for t in sorted(model.domains)[:2]]
+    triples = sum(
+        2 ** (a * b + b * c + c * d)
+        for a, b, c, d in itertools.product(chain or [1], repeat=4)
+    )
+    if triples > AXIOMS_MAX_ASSOC_TRIPLES:
+        raise ReglogError(
+            f"axioms at max_tuple_space {cap}: associativity tries {triples} "
+            f"triples, over the limit of {AXIOMS_MAX_ASSOC_TRIPLES} triples"
+        )
+    # _limit_family takes up to two rows of each full relation on at most
+    # one port, then each empty one
+    family = min(
+        bounds.limit_objects,
+        sum(n * (min(2, rows) + 1) for *_, rows, n in _context_classes(model, 1)),
+    )
+    if family > AXIOMS_MAX_LIMIT_OBJECTS:
+        raise ReglogError(
+            f"axioms at limit_objects {bounds.limit_objects}: the limit checks "
+            f"sweep {family} objects, over the limit of "
+            f"{AXIOMS_MAX_LIMIT_OBJECTS} objects"
         )
 
 
@@ -918,21 +1068,28 @@ def check_regular_axioms(
 ) -> AxiomReport:
     """Run every bounded law check against one model and collect a report.
 
+    A check's case count is the number of cases its law covers over the
+    whole bounded family, for instance one per relation between each
+    admitted pair of objects.  The hom sweep and the per-object sweeps
+    decide each law once per shape (the rows of the objects, and whether a
+    context has extra support) and count its cases for every object or pair
+    of that shape; see ``_on_skeleton``.
+
     Each check's ``seconds`` is the wall time of the sweep that computed it;
     checks computed in one sweep share that sweep's time.  Raises
     ``ReglogError``, before building anything, when a bound is negative
-    (most sweeps would then try no case and pass unearned) or when
+    (most sweeps would then try no case and pass unearned), when
     ``max_arity`` is too large for the model (see ``_refuse_large_bounds``),
-    and, before any sweep, when the hom sweep would take too long (see
-    ``_refuse_long_hom_sweep``).
+    or when ``max_tuple_space`` or ``limit_objects`` would make a sweep too
+    long (see ``_refuse_long_sweeps``).
     """
     bounds = bounds or AxiomBounds()
     negative = [name for name, value in asdict(bounds).items() if value < 0]
     if negative:
         raise ReglogError(f"axiom bounds must not be negative: {', '.join(negative)}")
     _refuse_large_bounds(model, bounds.max_arity)
+    _refuse_long_sweeps(model, bounds)
     objs = _objects_for(model, bounds.max_arity, bounds.max_tuple_space)
-    _refuse_long_hom_sweep(objs, bounds)
     report = AxiomReport(bounds)
     for sweep, args in (
         (_object_law_checks, (objs,)),

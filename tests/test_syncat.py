@@ -11,6 +11,7 @@ deliberate sabotage of ``mu_ir``, ``pullback_ir``, ``equalizer_ir``,
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import re
@@ -23,7 +24,6 @@ import pytest
 
 import reglog.syncat as syncat
 from reglog.context import mk_context, oplus, terminal_ctx
-from reglog.dsl import load_workspace
 from reglog.errors import CompositionError, ReglogError, ValidationError
 from reglog.model import FinRelation, mk_model, mk_relation, rho_lax
 from reglog.syncat import (
@@ -769,50 +769,75 @@ class TestAxiomSuite:
             syncat._refuse_large_bounds(model, arity)
 
     @pytest.mark.parametrize(
-        "types, atoms, pairs",
+        "domains, bounds, refused",
         [
-            (2, 2, 2_112),  # the domains of the criterion-7 model
-            (4, 2, 107_520),
-            (5, 1, 111_616),
-            (6, 1, 606_208),
-            (7, 1, 3_162_112),
-            (6, 2, 3_555_328),  # about five minutes of sweeping
+            # (x, x) under supports {}, {a}: 2 * 2^16 objects; b is empty
+            ({"a": 1, "b": 0, "x": 4}, AxiomBounds(2, 0, 16, 6), None),
+            # ... and under {}, {a}, {b}, {a, b}
+            ({"a": 1, "b": 1, "x": 4}, AxiomBounds(2, 0, 16, 6), "262392 objects"),
+            ({f"t{k}": 2 for k in range(9)}, AxiomBounds(), None),  # 194,560
+            # the largest hom shape is 3 x 3 rows: 2^9 relations, 2^18 adjoints
+            ({"a": 1, "b": 1, "x": 3}, AxiomBounds(1, 2, 9, 6), None),  # 272,171
+            ({"a": 1, "b": 1, "x": 3}, AxiomBounds(2, 2, 9, 6), "977135 relations"),
+            ({"x": 3}, AxiomBounds(1, 1, 8, 6), None),  # 2 rows: 4,096 triples
+            ({"x": 3}, AxiomBounds(1, 1, 9, 6), "134217728 triples"),  # 3 rows
+            ({"x": 2, "y": 2}, AxiomBounds(limit_objects=16), None),
+            ({"x": 2, "y": 2}, AxiomBounds(limit_objects=17), "17 objects"),
+            ({"x": 1}, AxiomBounds(limit_objects=100), None),  # a family of 6
         ],
     )
-    def test_hom_pairs_are_counted_not_visited(self, types, atoms, pairs, monkeypatch):
-        domains = {
-            f"t{k}": tuple(f"a{k}_{i}" for i in range(atoms)) for k in range(types)
-        }
-        bounds = AxiomBounds()
-        objs = syncat._objects_for(mk_model(domains, {}), 2, bounds.max_tuple_space)
-        if pairs < 200_000:
-            small = [o for o in objs if o.context.arity <= bounds.hom_arity]
-            assert pairs == sum(
-                o1.context.arity + o2.context.arity <= bounds.hom_arity
-                and len(o1) * len(o2) <= bounds.max_tuple_space
-                for o1 in small
-                for o2 in small
-            )
-        assert syncat.AXIOMS_MAX_HOM_PAIRS == 300_000
-        if pairs > syncat.AXIOMS_MAX_HOM_PAIRS:
-            with pytest.raises(
-                ReglogError,
-                match=f"^axioms at arity 2: the hom sweep visits {pairs} pairs of "
-                "objects, over the limit of 300000 pairs$",
-            ):
-                syncat._refuse_long_hom_sweep(objs, bounds)
+    def test_sweep_budgets_cut_where_they_say(self, domains, bounds, refused):
+        model = mk_model(
+            {t: tuple(f"{t}{i}" for i in range(n)) for t, n in domains.items()}, {}
+        )
+        assert (
+            syncat.AXIOMS_MAX_OBJECTS,
+            syncat.AXIOMS_MAX_RELATIONS,
+            syncat.AXIOMS_MAX_ASSOC_TRIPLES,
+            syncat.AXIOMS_MAX_LIMIT_OBJECTS,
+        ) == (2**18, 2**19, 2**20, 16)
+        if refused:
+            with pytest.raises(ReglogError, match=f" {refused}, over the limit of"):
+                syncat._refuse_long_sweeps(model, bounds)
         else:
-            syncat._refuse_long_hom_sweep(objs, bounds)
-            monkeypatch.setattr(syncat, "AXIOMS_MAX_HOM_PAIRS", pairs - 1)
-            with pytest.raises(ReglogError, match=f"visits {pairs} pairs"):
-                syncat._refuse_long_hom_sweep(objs, bounds)
+            syncat._refuse_long_sweeps(model, bounds)
 
-    def test_every_corpus_workspace_is_under_the_hom_pair_limit(self):
-        bounds = AxiomBounds()
-        for path in sorted((ROOT / "corpus").glob("*.rl")):
-            model = load_workspace(path).model()
-            objs = syncat._objects_for(model, 2, bounds.max_tuple_space)
-            syncat._refuse_long_hom_sweep(objs, bounds)
+    @pytest.mark.parametrize(
+        "domains, relations",
+        [
+            ({"x": 2, "y": 2}, {}),
+            ({"x": 3, "z": 0}, {"R": (("x", "x"), [("a0", "a1"), ("a1", "a2")])}),
+            ({"a": 1, "b": 1, "c": 1}, {}),
+        ],
+    )
+    def test_sweep_budgets_count_exactly(self, domains, relations, monkeypatch):
+        # the counts behind the budgets are what the sweeps then build and try
+        model = mk_model(
+            {t: tuple(f"a{i}" for i in range(n)) for t, n in domains.items()},
+            {name: mk_context(ports) for name, (ports, _) in relations.items()},
+            {name: rows for name, (_, rows) in relations.items()},
+        )
+        for arity, cap in itertools.product(range(3), range(6)):
+            objs = syncat._objects_for(model, arity, cap)
+            assert syncat._counted_shapes(model, arity, cap) == collections.Counter(
+                map(syncat._hom_shape, objs)
+            )
+        bounds = AxiomBounds(limit_objects=9)
+        objs = syncat._objects_for(model, bounds.max_arity, bounds.max_tuple_space)
+        report = check_regular_axioms(model, bounds)
+        triples = {c.name: c.cases for c in report.checks}["composition_associative"]
+        family = len(syncat._limit_family(model, bounds))
+        for limit, count, unit in (
+            ("AXIOMS_MAX_OBJECTS", len(objs), "objects"),
+            ("AXIOMS_MAX_ASSOC_TRIPLES", triples, "triples"),
+            ("AXIOMS_MAX_LIMIT_OBJECTS", family, "objects"),
+        ):
+            monkeypatch.setattr(syncat, limit, count)
+            syncat._refuse_long_sweeps(model, bounds)
+            monkeypatch.setattr(syncat, limit, count - 1)
+            with pytest.raises(ReglogError, match=f" {count} {unit}, over the limit"):
+                syncat._refuse_long_sweeps(model, bounds)
+            monkeypatch.undo()
 
     def test_a_seven_atom_domain_passes_at_the_default_bounds(self):
         # 49-row objects: the masks of o (+) o (+) o are about 35 MB
@@ -866,6 +891,99 @@ class TestAxiomSuite:
         assert bad.witness
 
 
+def per_member_checks(
+    objs: list[FinRelation], bounds: AxiomBounds
+) -> list[tuple[str, bool, int, str]]:
+    """The per-object and hom sweeps without the skeleton: the shared bodies
+    on every object and every admitted pair, in sweep order."""
+
+    def sweep(names, parts_per_member):
+        totals = [syncat.CheckResult(name, True, 0) for name in names]
+        for parts in parts_per_member:
+            for total, part in zip(totals, parts):
+                total.cases += part.cases
+                if not part.ok:
+                    total.fail(part.witness)
+        return totals
+
+    cap = bounds.max_tuple_space
+    hom = [o for o in objs if o.context.arity <= bounds.hom_arity]
+    checks = [
+        *sweep(syncat._OBJECT_LAWS, map(syncat._object_laws, objs)),
+        *sweep(
+            syncat._TERMINAL_LAWS,
+            (syncat._terminal_laws(o) for o in objs if len(o) <= cap),
+        ),
+        *sweep(
+            syncat._HOM_LAWS,
+            (
+                syncat._hom_laws(o1, o2)
+                for o1 in hom
+                for o2 in hom
+                if o1.context.arity + o2.context.arity <= bounds.hom_arity
+                and len(o1) * len(o2) <= cap
+            ),
+        ),
+    ]
+    return [(c.name, c.ok, c.cases, c.witness) for c in checks]
+
+
+# broken on objects of two rows or more only: the first failure is in a
+# later shape than the smallest
+LATE_SABOTAGES = {
+    "late_mu": ("mu_ir", lambda o: (broken_mu if len(o) >= 2 else mu_ir)(o)),
+    "late_classify": (
+        "classify",
+        lambda rel: (broken_classify if len(rel.dom) >= 2 else classify)(rel),
+    ),
+}
+
+
+class TestSkeleton:
+    """The skeleton sweeps against the same bodies run on every member."""
+
+    FAMILIES = {
+        "criterion, small": (criterion_model(), TestAxiomSuite.SMALL),
+        "criterion, default": (criterion_model(), AxiomBounds()),
+        # a model relation that is no subobject sample joins the family
+        "appended relation": (
+            mk_model(
+                {"x": ("a", "b", "c")},
+                {"R": mk_context(("x", "x"))},
+                {"R": (("a", "b"), ("b", "c"), ("c", "a"))},
+            ),
+            AxiomBounds(2, 2, 4, 2),
+        ),
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("sabotage", ["clean", *SABOTAGES, *LATE_SABOTAGES])
+    def test_reports_match_the_full_sweep(self, family, sabotage, monkeypatch):
+        model, bounds = self.FAMILIES[family]
+        objs = syncat._objects_for(model, bounds.max_arity, bounds.max_tuple_space)
+        # every family covers both routes of the hom sweep
+        assert {syncat._hom_shape(o)[2] for o in objs} == {True, False}
+        if family == "appended relation":
+            assert objs[-1] == model.relation("R")
+        if sabotage != "clean":
+            monkeypatch.setattr(syncat, *{**SABOTAGES, **LATE_SABOTAGES}[sabotage])
+        expected = per_member_checks(objs, bounds)
+        report = check_regular_axioms(model, bounds)
+        got = [(c.name, c.ok, c.cases, c.witness) for c in report.checks[:11]]
+        assert got == expected
+
+    def test_late_sabotages_fail_past_the_first_shape(self, monkeypatch):
+        # so the comparison above also covers witnesses from later shapes
+        model, bounds = self.FAMILIES["criterion, small"]
+        for name, (attr, broken) in LATE_SABOTAGES.items():
+            monkeypatch.setattr(syncat, attr, broken)
+            report = check_regular_axioms(model, bounds)
+            witnesses = [c.witness for c in report.checks if not c.ok]
+            assert witnesses, name
+            assert all("(x), rows [('0',), ('1',)]" in w for w in witnesses), name
+            monkeypatch.undo()
+
+
 class TestLawsReport:
     def test_script_passes_at_small_bounds(self):
         proc = subprocess.run(
@@ -887,6 +1005,63 @@ class TestLawsReport:
         assert len(checks) == 18
         assert all(line.startswith("ok ") for line in checks)
         assert lines[-1] == "result: ok"
+
+
+    @pytest.mark.parametrize(
+        "domains, args, message",
+        [
+            (
+                None,
+                ["--arity", "14", "--hom-arity", "1"],
+                "axioms at arity 14 over 2 types sweeps more than the limit of "
+                "16384 contexts",
+            ),
+            (
+                {"a": 1, "b": 1, "x": 4},
+                ["--hom-arity", "0", "--tuple-space", "16"],
+                "axioms at max_tuple_space 16 builds 262392 objects, over the "
+                "limit of 262144 objects",
+            ),
+            (
+                {"a": 1, "b": 1, "x": 3},
+                ["--tuple-space", "9"],
+                "axioms at max_tuple_space 9: the per-shape sweeps try 977135 "
+                "relations, over the limit of 524288 relations",
+            ),
+            (
+                {"x": 3},
+                ["--arity", "1", "--hom-arity", "1", "--tuple-space", "9"],
+                "axioms at max_tuple_space 9: associativity tries 134217728 "
+                "triples, over the limit of 1048576 triples",
+            ),
+            (
+                None,
+                ["--objects", "17"],
+                "axioms at limit_objects 17: the limit checks sweep 17 objects, "
+                "over the limit of 16 objects",
+            ),
+        ],
+    )
+    def test_script_refuses_a_bound_with_exit_2(self, tmp_path, domains, args, message):
+        if domains:
+            ws = tmp_path / "ws.rl"
+            ws.write_text(
+                f"type {', '.join(domains)};\n"
+                + "".join(
+                    f"domain {t} = {{{', '.join(f'{t}{i}' for i in range(n))}}};\n"
+                    for t, n in domains.items()
+                )
+            )
+            args = ["--workspace", str(ws), *args]
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "laws_report.py"), *args],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
 
 
 class TestFundamental:
