@@ -208,6 +208,13 @@ def _index(
     return index
 
 
+# A result row of four atoms takes about 180 bytes while the set of rows and
+# the frozenset made from it are both alive: 2^20 rows peaked at 194 MB in
+# eval_term (1.1 s) and at 387 MB in ``reglog eval``, which also prints them
+# (6.3 s), on a 2-vCPU host.
+EVAL_MAX_ROWS = 2**20
+
+
 def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
     """Evaluate a term against a model.
 
@@ -222,6 +229,12 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
     outer row reads come last, each as a step that holds its whole domain.
     The plan then runs as a depth-first loop over an explicit stack of probe
     results.
+
+    The answer is bounded by ``EVAL_MAX_ROWS``; past it this raises
+    ``EvalError``.  A term without cells is its loose outer dots alone, so
+    it is refused before the loop.  Otherwise the loop counts the rows each
+    time the last step runs dry, so the set passes the limit by at most one
+    step's entries, and a term whose cells match nothing is never refused.
     """
     if not term.is_flat():
         _check_leaves(term, model)
@@ -252,10 +265,17 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
         for dot in new_dots:
             bound[dot] = True
     out_row = d.wires[-1]
+    loose = 1
     for dot in dict.fromkeys(out_row):
         if not bound[dot]:
             pool = [(atom,) for atom in model.domain(d.dot_types[dot])]
+            loose *= len(pool)
             steps.append(({(): pool}, (), (dot,)))
+    if loose > EVAL_MAX_ROWS and not rels:
+        raise EvalError(
+            f"the term's loose outer dots alone give {loose} rows, over the "
+            f"limit of EVAL_MAX_ROWS = {EVAL_MAX_ROWS} rows"
+        )
 
     if not steps:
         return FinRelation(d.outer, frozenset({()}))
@@ -279,6 +299,11 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
                 its[k] = iter(index.get(tuple([value[i] for i in key]), ()))
                 break
         else:
+            if k == last and len(results) > EVAL_MAX_ROWS:
+                raise EvalError(
+                    "the term's value has more than the limit of "
+                    f"EVAL_MAX_ROWS = {EVAL_MAX_ROWS} rows"
+                )
             k -= 1
     return FinRelation(d.outer, frozenset(results))
 

@@ -28,9 +28,10 @@ about functions.  Every failed check carries a witness, so a deliberately
 broken operation shows up with a concrete counterexample.  A check keeps only
 its first witness, in sweep order, but keeps counting every case it tries, so
 the case counts are the same whether the check passes or fails.  Two objects
-with the same number of rows are isomorphic, and every law of the hom sweep
-and the per-object sweeps is invariant under isomorphism, so those sweeps run
-on the skeleton: once per shape of object or pair, counted for every member.
+with the same number of rows are isomorphic, and every law here is invariant
+under isomorphism (a pullback, equalizer or image is only defined up to one
+anyway), so every sweep but the image sweep runs on the skeleton: once per
+shape of object, pair, cospan or chain, counted for every member.
 Negative bounds, and bounds under which the sweeps would pass one of the
 ``AXIOMS_MAX_*`` limits (contexts, bits of masks, objects, relations,
 associativity triples, objects of the limit family), are refused before
@@ -403,13 +404,16 @@ def is_regular_epi_ir(rel: InternalRelation) -> bool:
     return reduce(or_, rel.masks, 0) == (1 << len(rel.cod)) - 1
 
 
-def subobjects(o: FinRelation) -> list[FinRelation]:
-    """All subobjects, smallest first then lexicographic; 2^|rows| of them."""
-    out = []
+def _subobjects(o: FinRelation) -> Iterator[FinRelation]:
+    """All subobjects, one at a time, smallest first then lexicographic."""
     for k in range(len(o) + 1):
         for subset in itertools.combinations(o.sorted_rows, k):
-            out.append(FinRelation(o.context, frozenset(subset)))
-    return out
+            yield FinRelation(o.context, frozenset(subset))
+
+
+def subobjects(o: FinRelation) -> list[FinRelation]:
+    """All subobjects, in the order of ``_subobjects``; 2^|rows| of them."""
+    return list(_subobjects(o))
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +562,14 @@ def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[FinRelation
 
 _OBJECT_LAWS = ("frobenius_special_per_object", "adjoint_monoid_inequalities")
 _TERMINAL_LAWS = ("terminal_map_unique", "subobject_lattice_size")
+_ASSOC_LAWS = ("composition_associative",)
+_PULLBACK_LAWS = (
+    "pullback_square_commutes",
+    "pullback_mediator_unique",
+    "regular_epi_pullback_stable",
+)
+_EQUALIZER_LAWS = ("equalizer_universal",)
+_IMAGE_LAWS = ("image_factorization", "regular_epi_mono_orthogonal")
 _HOM_LAWS = (
     "validity_equals_frame_condition",
     "function_characterizations_agree",
@@ -584,21 +596,33 @@ def _buckets(objs: Iterable[FinRelation], key) -> dict:
     return out
 
 
-def _on_skeleton(names: tuple[str, ...], classes, decide) -> list[CheckResult]:
+def _on_skeleton(
+    names: tuple[str, ...], classes, decide, with_ok: bool = False
+) -> list[CheckResult]:
     """Decide a sweep's laws once per shape and weight them by its members.
 
     ``classes`` yields ``(shape, args, members)`` in sweep order, where
     ``args`` is the first member of the class in sweep order and ``members``
-    the number of objects (or pairs) in it.  Objects with the same number of
-    rows are isomorphic and every law here is invariant under isomorphism,
-    so ``decide(*args)`` holds for one member exactly when it holds for all
-    of them, with the same case count.  A shape is decided on its first
-    member in sweep order, so the first failing class met here is also the
-    first failing member of a full sweep, and its witness is the same.
+    the number of objects (or pairs, cospans, chains) in it.  Objects with
+    the same number of rows are isomorphic and every law here is invariant
+    under isomorphism, so ``decide(*args)`` holds for one member exactly when
+    it holds for all of them, with the same case count.  A shape is decided
+    on its first member in sweep order, so the first failing class met here
+    is also the first failing member of a full sweep, and its witness is the
+    same.
+
+    With ``with_ok``, ``decide`` also gets ``ok``: whether every check of the
+    sweep still holds when the member's turn comes.  The equalizer sweep
+    skips the mediators of its first failing pair only, and associativity
+    stops at its first failure, so their counts depend on it too; a shape is
+    then decided once for each value of ``ok`` it meets.
     """
     totals = _fresh(names)
     decided: dict = {}
     for shape, args, members in classes:
+        if with_ok:
+            ok = all(total.ok for total in totals)
+            shape, args = (shape, ok), (*args, ok)
         parts = decided.get(shape)
         if parts is None:
             parts = decided[shape] = decide(*args)
@@ -658,10 +682,10 @@ def _object_law_checks(objs: list[FinRelation]) -> list[CheckResult]:
 def _terminal_laws(o: FinRelation) -> list[CheckResult]:
     res, sub = _fresh(_TERMINAL_LAWS)
     point = terminal_syn()
-    functions = [r for r in enumerate_relations(o, point) if classify(r).function]
+    functions = [r for r in _relations(o, point) if classify(r).function]
     if not res.count(len(functions) == 1 and functions[0].masks == bang(o).masks):
         res.fail(f"object {o}: {len(functions)} maps to the point")
-    if not sub.count(len(subobjects(o)) == 2 ** len(o)):
+    if not sub.count(sum(1 for _ in _subobjects(o)) == 2 ** len(o)):
         sub.fail(f"object {o}")
     return [res, sub]
 
@@ -750,8 +774,36 @@ def _hom_sweep_checks(
     return _on_skeleton(_HOM_LAWS, classes, _hom_laws)
 
 
+def _assoc_laws(
+    o1: FinRelation, o2: FinRelation, o3: FinRelation, o4: FinRelation, ok: bool
+) -> list[CheckResult]:
+    (check,) = _fresh(_ASSOC_LAWS)
+    if not ok:
+        return [check]  # the sweep stops at its first failure
+    as_ = enumerate_relations(o1, o2)
+    bs = enumerate_relations(o2, o3)
+    cs = enumerate_relations(o3, o4)
+    bcs = [[_compose(b.masks, c.masks) for c in cs] for b in bs]
+    # (a;b);c depends on a;b only through its masks, and a;(b;c) on b;c
+    lhs_of: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    rhs_of: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+    for a_idx, a in enumerate(as_):
+        for b, b_then in zip(bs, bcs):
+            ab = _compose(a.masks, b.masks)
+            for c_idx, (c, bc) in enumerate(zip(cs, b_then)):
+                lhs = lhs_of.get((ab, c_idx))
+                if lhs is None:
+                    lhs = lhs_of[ab, c_idx] = _compose(ab, c.masks)
+                rhs = rhs_of.get((a_idx, bc))
+                if rhs is None:
+                    rhs = rhs_of[a_idx, bc] = _compose(a.masks, bc)
+                if not check.count(lhs == rhs):
+                    check.fail(f"{o1} -> {o2} -> {o3} -> {o4}")
+                    return [check]
+    return [check]
+
+
 def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]:
-    check = CheckResult("composition_associative", True, 0)
     chain_objs = []
     for c in contexts_up_to(model.domains.keys(), 1):
         if c.arity == 1 and not c.extra_support():
@@ -761,137 +813,138 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]
                 rows = rows[:-1]
             chain_objs.append(FinRelation(c, frozenset(rows)))
     chain_objs = chain_objs[:2] or [terminal_syn()]
-    for o1, o2, o3, o4 in itertools.product(chain_objs, repeat=4):
-        as_ = enumerate_relations(o1, o2)
-        bs = enumerate_relations(o2, o3)
-        cs = enumerate_relations(o3, o4)
-        bcs = [[_compose(b.masks, c.masks) for c in cs] for b in bs]
-        # (a;b);c depends on a;b only through its masks, and a;(b;c) on b;c
-        lhs_of: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        rhs_of: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-        for a_idx, a in enumerate(as_):
-            for b, b_then in zip(bs, bcs):
-                ab = _compose(a.masks, b.masks)
-                for c_idx, (c, bc) in enumerate(zip(cs, b_then)):
-                    lhs = lhs_of.get((ab, c_idx))
-                    if lhs is None:
-                        lhs = lhs_of[ab, c_idx] = _compose(ab, c.masks)
-                    rhs = rhs_of.get((a_idx, bc))
-                    if rhs is None:
-                        rhs = rhs_of[a_idx, bc] = _compose(a.masks, bc)
-                    if not check.count(lhs == rhs):
-                        check.fail(f"{o1} -> {o2} -> {o3} -> {o4}")
-                        return [check]
+    classes = (
+        (tuple(map(len, chain)), chain, 1)
+        for chain in itertools.product(chain_objs, repeat=4)
+    )
+    return _on_skeleton(_ASSOC_LAWS, classes, _assoc_laws, with_ok=True)
+
+
+def _cones(
+    family: list[FinRelation], o1: FinRelation, ts: list[InternalRelation]
+) -> list[tuple[FinRelation, list[InternalRelation], list[list[tuple[int, ...]]]]]:
+    """Per cone apex ``x`` of the family: the functions ``u: x -> o1``, and
+    for each the masks of ``u ; t`` for every ``t`` in ``ts``."""
+    cones = []
+    for x in family:
+        us = enumerate_functions(x, o1)
+        cones.append((x, us, [[_compose(u.masks, t.masks) for t in ts] for u in us]))
+    return cones
+
+
+def _pullback_laws(
+    o: FinRelation, o1: FinRelation, o2: FinRelation, family: list[FinRelation]
+) -> list[CheckResult]:
+    """The pullback laws on every cospan of functions ``o1 -> o <- o2``, each
+    cone from an apex of the family."""
+    pb_exists, pb_unique, stability = _fresh(_PULLBACK_LAWS)
+    t1s, t2s = enumerate_functions(o1, o), enumerate_functions(o2, o)
+    cones = list(zip(_cones(family, o1, t1s), _cones(family, o2, t2s)))
+    for q1, t1 in enumerate(t1s):
+        for q2, t2 in enumerate(t2s):
+            apex, p1, p2 = pullback_ir(t1, t2)
+            if not pb_exists.count(
+                _compose(p1.masks, t1.masks) == _compose(p2.masks, t2.masks)
+                and is_function(p1)
+                and is_function(p2)
+            ):
+                pb_exists.fail(f"cospan {o1} -> {o} <- {o2}")
+            if is_regular_epi_ir(t2) and not stability.count(is_regular_epi_ir(p1)):
+                stability.fail(f"cospan {o1} -> {o} <- {o2}")
+            for (x, u1s, after1), (_, u2s, after2) in cones:
+                # the mediators of each pair of legs, in order
+                by_legs = None
+                for u1, lead in zip(u1s, after1):
+                    for u2, other in zip(u2s, after2):
+                        if lead[q1] != other[q2]:
+                            continue
+                        if by_legs is None:
+                            by_legs = {}
+                            for m in enumerate_functions(x, apex):
+                                key = (
+                                    _compose(m.masks, p1.masks),
+                                    _compose(m.masks, p2.masks),
+                                )
+                                by_legs.setdefault(key, []).append(m.masks)
+                        mediators = by_legs.get((u1.masks, u2.masks), [])
+                        if not pb_unique.count(
+                            mediators == [pair_ir(u1, u2, apex).masks]
+                        ):
+                            pb_unique.fail(f"cone {x} over {o1} -> {o} <- {o2}")
+    return [pb_exists, pb_unique, stability]
+
+
+def _pullback_checks(family: list[FinRelation]) -> list[CheckResult]:
+    classes = (
+        ((len(o), len(o1), len(o2)), (o, o1, o2, family), 1)
+        for o in family
+        for o1 in family
+        for o2 in family
+    )
+    return _on_skeleton(_PULLBACK_LAWS, classes, _pullback_laws)
+
+
+def _equalizer_laws(
+    o1: FinRelation, o2: FinRelation, family: list[FinRelation], ok: bool
+) -> list[CheckResult]:
+    """The equalizer law on every parallel pair of functions ``o1 -> o2``,
+    each cone from an apex of the family."""
+    (check,) = _fresh(_EQUALIZER_LAWS)
+    ts = enumerate_functions(o1, o2)
+    cones = _cones(family, o1, ts)
+    for q1, t1 in enumerate(ts):
+        for q2, t2 in enumerate(ts):
+            obj, incl = equalizer_ir(t1, t2)
+            on_t1 = _compose(incl.masks, t1.masks)
+            good = is_mono_ir(incl) and on_t1 == _compose(incl.masks, t2.masks)
+            if not check.count(good):
+                # only the first failing pair of the sweep skips its mediators
+                first = ok and check.ok
+                check.fail(f"parallel pair {o1} -> {o2}")
+                if first:
+                    continue
+            for x, us, after in cones:
+                legs = None
+                for u, via in zip(us, after):
+                    if via[q1] != via[q2]:
+                        continue
+                    if legs is None:
+                        legs = [
+                            _compose(m.masks, incl.masks)
+                            for m in enumerate_functions(x, obj)
+                        ]
+                    if not check.count(legs.count(u.masks) == 1):
+                        check.fail(f"cone {x} into equalizer of {o1} -> {o2}")
     return [check]
 
 
-def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]:
-    family = _limit_family(model, bounds)
-    n = len(family)
-    funcs: dict[tuple[int, int], list[InternalRelation]] = {}
-    for i, a in enumerate(family):
-        for j, b in enumerate(family):
-            funcs[i, j] = enumerate_functions(a, b)
-    # after[x, i, k][p][q]: the masks of funcs[x, i][p] ; funcs[i, k][q]
-    after = {
-        (x, i, k): [
-            [_compose(u.masks, t.masks) for t in funcs[i, k]] for u in funcs[x, i]
-        ]
-        for x in range(n)
-        for i in range(n)
-        for k in range(n)
-    }
+def _equalizer_checks(family: list[FinRelation]) -> list[CheckResult]:
+    classes = (
+        ((len(o1), len(o2)), (o1, o2, family), 1) for o1 in family for o2 in family
+    )
+    return _on_skeleton(_EQUALIZER_LAWS, classes, _equalizer_laws, with_ok=True)
 
-    pb_exists = CheckResult("pullback_square_commutes", True, 0)
-    pb_unique = CheckResult("pullback_mediator_unique", True, 0)
-    stability = CheckResult("regular_epi_pullback_stable", True, 0)
-    for k, o in enumerate(family):
-        for i, o1 in enumerate(family):
-            for j, o2 in enumerate(family):
-                for q1, t1 in enumerate(funcs[i, k]):
-                    for q2, t2 in enumerate(funcs[j, k]):
-                        apex, p1, p2 = pullback_ir(t1, t2)
-                        if not pb_exists.count(
-                            _compose(p1.masks, t1.masks) == _compose(p2.masks, t2.masks)
-                            and is_function(p1)
-                            and is_function(p2)
-                        ):
-                            pb_exists.fail(f"cospan {o1} -> {o} <- {o2}")
-                        if is_regular_epi_ir(t2) and not stability.count(
-                            is_regular_epi_ir(p1)
-                        ):
-                            stability.fail(f"cospan {o1} -> {o} <- {o2}")
-                        for x_idx, x in enumerate(family):
-                            # the mediators of each pair of legs, in order
-                            by_legs = None
-                            for u1, lead in zip(funcs[x_idx, i], after[x_idx, i, k]):
-                                for u2, other in zip(
-                                    funcs[x_idx, j], after[x_idx, j, k]
-                                ):
-                                    if lead[q1] != other[q2]:
-                                        continue
-                                    if by_legs is None:
-                                        by_legs = {}
-                                        for m in enumerate_functions(x, apex):
-                                            key = (
-                                                _compose(m.masks, p1.masks),
-                                                _compose(m.masks, p2.masks),
-                                            )
-                                            by_legs.setdefault(key, []).append(m.masks)
-                                    mediators = by_legs.get((u1.masks, u2.masks), [])
-                                    if not pb_unique.count(
-                                        mediators == [pair_ir(u1, u2, apex).masks]
-                                    ):
-                                        pb_unique.fail(
-                                            f"cone {x} over {o1} -> {o} <- {o2}"
-                                        )
 
-    eq_check = CheckResult("equalizer_universal", True, 0)
-    for i, o1 in enumerate(family):
-        for j, o2 in enumerate(family):
-            for q1, t1 in enumerate(funcs[i, j]):
-                for q2, t2 in enumerate(funcs[i, j]):
-                    obj, incl = equalizer_ir(t1, t2)
-                    on_t1 = _compose(incl.masks, t1.masks)
-                    good = is_mono_ir(incl) and on_t1 == _compose(incl.masks, t2.masks)
-                    # only the first failing pair skips its mediators
-                    if not eq_check.count(good) and eq_check.ok:
-                        eq_check.fail(f"parallel pair {o1} -> {o2}")
-                        continue
-                    for x_idx, x in enumerate(family):
-                        legs = None
-                        for u, via in zip(funcs[x_idx, i], after[x_idx, i, j]):
-                            if via[q1] != via[q2]:
-                                continue
-                            if legs is None:
-                                legs = [
-                                    _compose(m.masks, incl.masks)
-                                    for m in enumerate_functions(x, obj)
-                                ]
-                            if not eq_check.count(legs.count(u.masks) == 1):
-                                eq_check.fail(
-                                    f"cone {x} into equalizer of {o1} -> {o2}"
-                                )
-
-    img = CheckResult("image_factorization", True, 0)
-    ortho = CheckResult("regular_epi_mono_orthogonal", True, 0)
+def _image_checks(family: list[FinRelation]) -> list[CheckResult]:
+    img, ortho = _fresh(_IMAGE_LAWS)
     epis: list[InternalRelation] = []
     monos: list[InternalRelation] = []
-    for (i, j), fs in funcs.items():
-        for t in fs:
-            epi, mono = image_ir(t)
-            if not img.count(
-                _compose(epi.masks, mono.masks) == t.masks
-                and is_regular_epi_ir(epi)
-                and is_mono_ir(mono)
-                and is_function(epi)
-                and is_function(mono)
-            ):
-                img.fail(f"function {family[i]} -> {family[j]}")
-            if is_regular_epi_ir(t):
-                epis.append(t)
-            if is_mono_ir(t):
-                monos.append(t)
+    for a in family:
+        for b in family:
+            for t in enumerate_functions(a, b):
+                epi, mono = image_ir(t)
+                if not img.count(
+                    _compose(epi.masks, mono.masks) == t.masks
+                    and is_regular_epi_ir(epi)
+                    and is_mono_ir(mono)
+                    and is_function(epi)
+                    and is_function(mono)
+                ):
+                    img.fail(f"function {a} -> {b}")
+                if is_regular_epi_ir(t):
+                    epis.append(t)
+                if is_mono_ir(t):
+                    monos.append(t)
     epis = epis[:12]
     monos = monos[:12]
     for e in epis:
@@ -915,7 +968,7 @@ def _limit_checks(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult
                             f"square over epi {e.dom} ->> {e.cod}, "
                             f"mono {m.dom} >-> {m.cod}"
                         )
-    return [pb_exists, pb_unique, stability, eq_check, img, ortho]
+    return [img, ortho]
 
 
 # The family of a context holds at most 2^max_tuple_space objects; the
@@ -931,11 +984,15 @@ AXIOMS_MAX_MASK_BITS = 2**32
 # bounds build 194,560 (peak 89 MB, 2.0 s for the whole suite), and 131,152
 # objects of up to 16 rows peaked at 178 MB.  Relations: the hom sweep takes
 # about 3.5 us per relation or candidate adjoint (975,456 in 3.3 s), and the
-# terminal sweep about 19 us per relation and subobject it lists (131,088 in
-# 2.5 s).  Associativity: 65,536 triples took 31 ms and 2^27 took 105 s.  The
-# limit checks grow about as n^4 in their family of n objects: 16 objects took
-# 7 s where half of them have two rows (six two-atom types), 0.6 s on one-atom
-# types.
+# terminal sweep about 20 us per relation and subobject it counts, one at a
+# time (131,088 in 2.8 s).  Associativity counts the triples of every chain
+# but decides each shape of chain once: two types of two rows, 65,536 triples
+# in one shape of 4,096, take 4 ms; one chain of three-row objects, 2^27
+# triples, took 105 s.  The limit sweeps decide each shape of cospan or
+# parallel pair once, but every cone apex and function of the family is still
+# tried: 16 objects, half of them of two rows (six two-atom types), take
+# 60 ms (8.7 s a cospan at a time), and 25 ms on one-atom types.  So these two
+# limits now over-count the work and only refuse early.
 AXIOMS_MAX_OBJECTS = 2**18
 AXIOMS_MAX_RELATIONS = 2**19
 AXIOMS_MAX_ASSOC_TRIPLES = 2**20
@@ -1070,13 +1127,14 @@ def check_regular_axioms(
 
     A check's case count is the number of cases its law covers over the
     whole bounded family, for instance one per relation between each
-    admitted pair of objects.  The hom sweep and the per-object sweeps
-    decide each law once per shape (the rows of the objects, and whether a
-    context has extra support) and count its cases for every object or pair
-    of that shape; see ``_on_skeleton``.
+    admitted pair of objects.  Every sweep but the image sweep decides each
+    law once per shape (the rows of the objects, and for the hom sweep
+    whether a context has extra support) and counts its cases for every
+    object, pair, cospan or chain of that shape; see ``_on_skeleton``.
 
     Each check's ``seconds`` is the wall time of the sweep that computed it;
-    checks computed in one sweep share that sweep's time.  Raises
+    checks computed in one sweep share that sweep's time.  The pullback,
+    equalizer and image sweeps are timed apart.  Raises
     ``ReglogError``, before building anything, when a bound is negative
     (most sweeps would then try no case and pass unearned), when
     ``max_arity`` is too large for the model (see ``_refuse_large_bounds``),
@@ -1090,13 +1148,16 @@ def check_regular_axioms(
     _refuse_large_bounds(model, bounds.max_arity)
     _refuse_long_sweeps(model, bounds)
     objs = _objects_for(model, bounds.max_arity, bounds.max_tuple_space)
+    family = _limit_family(model, bounds)
     report = AxiomReport(bounds)
     for sweep, args in (
         (_object_law_checks, (objs,)),
         (_terminal_checks, (objs, bounds.max_tuple_space)),
         (_hom_sweep_checks, (objs, bounds)),
         (_assoc_check, (model, bounds)),
-        (_limit_checks, (model, bounds)),
+        (_pullback_checks, (family,)),
+        (_equalizer_checks, (family,)),
+        (_image_checks, (family,)),
     ):
         started = time.perf_counter()
         checks = sweep(*args)

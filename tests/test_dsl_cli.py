@@ -617,6 +617,35 @@ class TestCli:
             b"16 cells\n"
         )
 
+    def test_eval_refuses_a_huge_result_before_allocating(self, tmp_path):
+        # Six loose outer ports over 60 atoms: 60^6 rows.  Without the limit
+        # this ended in a MemoryError traceback and exit 1 under a 1 GB cap.
+        atoms = ", ".join(f"a{i}" for i in range(60))
+        dots = "".join(
+            f"  dot p{i} : x;\n  wire out.{i} -> p{i};\n" for i in range(1, 7)
+        )
+        path = write_ws(
+            tmp_path,
+            f"type x;\ndomain x = {{{atoms}}};\n"
+            f"diagram wide : () -> (x, x, x, x, x, x) {{\n{dots}}}\n"
+            "term main = wide();\n",
+        )
+        cap = 700 << 20
+        for command in (["eval", "main"], ["entail", "main", "main"]):
+            start = time.perf_counter()
+            proc = run_module(
+                path,
+                *command,
+                timeout=5,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            )
+            assert time.perf_counter() - start < 1
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr == (
+                b"error: the term's loose outer dots alone give 46656000000 rows, "
+                b"over the limit of EVAL_MAX_ROWS = 1048576 rows\n"
+            )
+
     def test_axioms_refuses_a_large_bound_before_allocating(self, tmp_path):
         # At arity 3 an object has 125 rows, and the law suite would tensor it
         # into about 2 million rows: gigabytes without the limit.

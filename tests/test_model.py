@@ -18,6 +18,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+import reglog.model as model_mod
 from reglog.contain import contains
 from reglog.context import identity_cm, mk_context, mk_morphism, oplus, pullback_cm
 from reglog.errors import EvalError, ValidationError
@@ -188,6 +189,53 @@ class TestEvaluation:
     def test_entailment_needs_matching_shells(self):
         with pytest.raises(ValidationError):
             entails_in(chain_model(), path_term(1), true_term(mk_context(("x",))))
+
+
+class TestEvalBound:
+    def loose_term(self) -> GraphicalTerm:
+        # E(a, b) with a loose third dot: 2 edges times 3 atoms
+        w = mk_wiring(
+            (mk_context(("x", "x")),),
+            mk_context(("x", "x", "x")),
+            ("x", "x", "x"),
+            ((0, 1), (0, 1, 2)),
+        )
+        return GraphicalTerm(w, ("E",))
+
+    def test_a_result_over_the_limit_is_refused(self, monkeypatch):
+        assert model_mod.EVAL_MAX_ROWS == 2**20
+        m, t = chain_model(), self.loose_term()
+        monkeypatch.setattr(model_mod, "EVAL_MAX_ROWS", 6)
+        assert len(eval_term(t, m)) == 6
+        monkeypatch.setattr(model_mod, "EVAL_MAX_ROWS", 5)
+        with pytest.raises(
+            EvalError, match=r"^the term's value has more than the limit of "
+            r"EVAL_MAX_ROWS = 5 rows$"
+        ):
+            eval_term(t, m)
+        # a plan whose last step is a cell
+        monkeypatch.setattr(model_mod, "EVAL_MAX_ROWS", 1)
+        with pytest.raises(EvalError, match="EVAL_MAX_ROWS = 1 rows$"):
+            eval_term(path_term(1), m)
+
+    def test_loose_outer_dots_over_the_limit_are_refused_before_the_loop(
+        self, monkeypatch
+    ):
+        m = chain_model()
+        monkeypatch.setattr(model_mod, "EVAL_MAX_ROWS", 2)
+        with pytest.raises(
+            EvalError, match=r"^the term's loose outer dots alone give 3 rows, over "
+            r"the limit of EVAL_MAX_ROWS = 2 rows$"
+        ):
+            eval_term(true_term(mk_context(("x",))), m)
+        # with cells, only an answer over the limit is refused
+        assert eval_term(self.loose_term(), chain_model(rows=())).rows() == []
+        monkeypatch.undo()
+        # 60^6 rows: refused at once, where the loop would run out of memory
+        wide = mk_model({"x": tuple(f"a{i}" for i in range(60))}, {})
+        ports = mk_context(("x",) * 6)
+        with pytest.raises(EvalError, match=" 46656000000 rows, over the limit"):
+            eval_term(true_term(ports), wide)
 
 
 def identity_wiring_for(c):

@@ -691,6 +691,28 @@ class TestAxiomSuite:
         assert "ok" in report.summary()
         assert "seconds" not in report.summary()
 
+    def test_each_limit_sweep_has_its_own_time(self):
+        report = check_regular_axioms(pair_model(), self.SMALL)
+        assert [c.name for c in report.checks[12:]] == list(LIMIT_LAWS)
+        # pullback, equalizer, image factorization with orthogonality
+        sweeps = [report.checks[12:15], report.checks[15:16], report.checks[16:]]
+        assert [len({c.seconds for c in checks}) for checks in sweeps] == [1, 1, 1]
+        assert len({checks[0].seconds for checks in sweeps}) == 3
+
+    def test_terminal_laws_hold_one_relation_at_a_time(self):
+        # 2^12 relations to the point and 2^12 subobjects: lists of them
+        # took about 3 MiB
+        m = mk_model({"x": tuple("abc"), "y": tuple("pqrs")}, {})
+        o = syncat.true_rel(mk_context(("x", "y")), m)
+        tracemalloc.start()
+        try:
+            parts = syncat._terminal_laws(o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(c.ok, c.cases) for c in parts] == [(True, 1), (True, 1)]
+        assert peak < 64 << 10
+
     def test_summary_lists_every_check(self):
         report = check_regular_axioms(pair_model(), self.SMALL)
         lines = report.summary().splitlines()
@@ -928,13 +950,186 @@ def per_member_checks(
     return [(c.name, c.ok, c.cases, c.witness) for c in checks]
 
 
-# broken on objects of two rows or more only: the first failure is in a
-# later shape than the smallest
+# the checks of the three limit sweeps, in report order
+LIMIT_LAWS = (
+    "pullback_square_commutes",
+    "pullback_mediator_unique",
+    "regular_epi_pullback_stable",
+    "equalizer_universal",
+    "image_factorization",
+    "regular_epi_mono_orthogonal",
+)
+
+
+def full_assoc_check(model, bounds) -> list[tuple[str, bool, int, str]]:
+    """Associativity without the skeleton: every chain of the sweep, in
+    order, until the first failure."""
+    check = syncat.CheckResult("composition_associative", True, 0)
+    chain_objs = []
+    for c in syncat.contexts_up_to(model.domains.keys(), 1):
+        if c.arity == 1 and not c.extra_support():
+            rows = syncat.true_rel(c, model).rows()
+            while len(rows) * len(rows) > bounds.max_tuple_space:
+                rows = rows[:-1]
+            chain_objs.append(FinRelation(c, frozenset(rows)))
+    chain_objs = chain_objs[:2] or [terminal_syn()]
+    compose = syncat._compose
+
+    def sweep():
+        for o1, o2, o3, o4 in itertools.product(chain_objs, repeat=4):
+            as_ = enumerate_relations(o1, o2)
+            bs = enumerate_relations(o2, o3)
+            cs = enumerate_relations(o3, o4)
+            bcs = [[compose(b.masks, c.masks) for c in cs] for b in bs]
+            lhs_of, rhs_of = {}, {}
+            for a_idx, a in enumerate(as_):
+                for b, b_then in zip(bs, bcs):
+                    ab = compose(a.masks, b.masks)
+                    for c_idx, (c, bc) in enumerate(zip(cs, b_then)):
+                        if (ab, c_idx) not in lhs_of:
+                            lhs_of[ab, c_idx] = compose(ab, c.masks)
+                        if (a_idx, bc) not in rhs_of:
+                            rhs_of[a_idx, bc] = compose(a.masks, bc)
+                        if not check.count(lhs_of[ab, c_idx] == rhs_of[a_idx, bc]):
+                            check.fail(f"{o1} -> {o2} -> {o3} -> {o4}")
+                            return
+
+    sweep()
+    return [(check.name, check.ok, check.cases, check.witness)]
+
+
+def full_limit_checks(model, bounds) -> list[tuple[str, bool, int, str]]:
+    """The pullback, equalizer and image sweeps without the skeleton: every
+    cospan, parallel pair and function of the family, in sweep order.  The
+    seams are looked up on the module, so a patched one is used here too."""
+    family = syncat._limit_family(model, bounds)
+    n = len(family)
+    compose = syncat._compose
+    funcs = {
+        (i, j): enumerate_functions(a, b)
+        for i, a in enumerate(family)
+        for j, b in enumerate(family)
+    }
+    after = {
+        (x, i, k): [
+            [compose(u.masks, t.masks) for t in funcs[i, k]] for u in funcs[x, i]
+        ]
+        for x in range(n)
+        for i in range(n)
+        for k in range(n)
+    }
+    checks = {name: syncat.CheckResult(name, True, 0) for name in LIMIT_LAWS}
+    pb_exists, pb_unique, stability, eq_check, img, ortho = checks.values()
+    for k, o in enumerate(family):
+        for i, o1 in enumerate(family):
+            for j, o2 in enumerate(family):
+                for q1, t1 in enumerate(funcs[i, k]):
+                    for q2, t2 in enumerate(funcs[j, k]):
+                        apex, p1, p2 = syncat.pullback_ir(t1, t2)
+                        if not pb_exists.count(
+                            compose(p1.masks, t1.masks) == compose(p2.masks, t2.masks)
+                            and syncat.is_function(p1)
+                            and syncat.is_function(p2)
+                        ):
+                            pb_exists.fail(f"cospan {o1} -> {o} <- {o2}")
+                        if is_regular_epi_ir(t2) and not stability.count(
+                            is_regular_epi_ir(p1)
+                        ):
+                            stability.fail(f"cospan {o1} -> {o} <- {o2}")
+                        for x_idx, x in enumerate(family):
+                            for u1, lead in zip(funcs[x_idx, i], after[x_idx, i, k]):
+                                for u2, other in zip(
+                                    funcs[x_idx, j], after[x_idx, j, k]
+                                ):
+                                    if lead[q1] != other[q2]:
+                                        continue
+                                    mediators = [
+                                        m.masks
+                                        for m in enumerate_functions(x, apex)
+                                        if compose(m.masks, p1.masks) == u1.masks
+                                        and compose(m.masks, p2.masks) == u2.masks
+                                    ]
+                                    if not pb_unique.count(
+                                        mediators == [pair_ir(u1, u2, apex).masks]
+                                    ):
+                                        pb_unique.fail(
+                                            f"cone {x} over {o1} -> {o} <- {o2}"
+                                        )
+    for i, o1 in enumerate(family):
+        for j, o2 in enumerate(family):
+            for q1, t1 in enumerate(funcs[i, j]):
+                for q2, t2 in enumerate(funcs[i, j]):
+                    obj, incl = syncat.equalizer_ir(t1, t2)
+                    good = is_mono_ir(incl) and compose(
+                        incl.masks, t1.masks
+                    ) == compose(incl.masks, t2.masks)
+                    # only the first failing pair skips its mediators
+                    if not eq_check.count(good) and eq_check.ok:
+                        eq_check.fail(f"parallel pair {o1} -> {o2}")
+                        continue
+                    for x_idx, x in enumerate(family):
+                        for u, via in zip(funcs[x_idx, i], after[x_idx, i, j]):
+                            if via[q1] != via[q2]:
+                                continue
+                            legs = [
+                                compose(m.masks, incl.masks)
+                                for m in enumerate_functions(x, obj)
+                            ]
+                            if not eq_check.count(legs.count(u.masks) == 1):
+                                eq_check.fail(
+                                    f"cone {x} into equalizer of {o1} -> {o2}"
+                                )
+    epis, monos = [], []
+    for (i, j), fs in funcs.items():
+        for t in fs:
+            epi, mono = syncat.image_ir(t)
+            if not img.count(
+                compose(epi.masks, mono.masks) == t.masks
+                and is_regular_epi_ir(epi)
+                and is_mono_ir(mono)
+                and syncat.is_function(epi)
+                and syncat.is_function(mono)
+            ):
+                img.fail(f"function {family[i]} -> {family[j]}")
+            if is_regular_epi_ir(t):
+                epis.append(t)
+            if is_mono_ir(t):
+                monos.append(t)
+    for e in epis[:12]:
+        for m in monos[:12]:
+            for f in enumerate_functions(e.dom, m.dom):
+                for g in enumerate_functions(e.cod, m.cod):
+                    if compose(e.masks, g.masks) != compose(f.masks, m.masks):
+                        continue
+                    legs = [
+                        (compose(e.masks, h.masks), compose(h.masks, m.masks))
+                        for h in enumerate_functions(e.cod, m.dom)
+                    ]
+                    if not ortho.count(legs.count((f.masks, g.masks)) == 1):
+                        ortho.fail(
+                            f"square over epi {e.dom} ->> {e.cod}, "
+                            f"mono {m.dom} >-> {m.cod}"
+                        )
+    return [(c.name, c.ok, c.cases, c.witness) for c in checks.values()]
+
+
+# broken on objects (or, for the limits, domains) of two rows or more only:
+# the first failure is in a later shape than the smallest
 LATE_SABOTAGES = {
     "late_mu": ("mu_ir", lambda o: (broken_mu if len(o) >= 2 else mu_ir)(o)),
     "late_classify": (
         "classify",
         lambda rel: (broken_classify if len(rel.dom) >= 2 else classify)(rel),
+    ),
+    "late_pullback": (
+        "pullback_ir",
+        lambda t1, t2: (broken_pullback if len(t1.dom) >= 2 else pullback_ir)(t1, t2),
+    ),
+    "late_equalizer": (
+        "equalizer_ir",
+        lambda t1, t2: (broken_equalizer if len(t1.dom) >= 2 else equalizer_ir)(
+            t1, t2
+        ),
     ),
 }
 
@@ -971,6 +1166,63 @@ class TestSkeleton:
         report = check_regular_axioms(model, bounds)
         got = [(c.name, c.ok, c.cases, c.witness) for c in report.checks[:11]]
         assert got == expected
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("sabotage", ["clean", *SABOTAGES, *LATE_SABOTAGES])
+    def test_limit_and_assoc_reports_match_the_full_sweep(
+        self, family, sabotage, monkeypatch
+    ):
+        # the first 11 checks are compared by the test above
+        model, bounds = self.FAMILIES[family]
+        if sabotage != "clean":
+            monkeypatch.setattr(syncat, *{**SABOTAGES, **LATE_SABOTAGES}[sabotage])
+        expected = full_assoc_check(model, bounds) + full_limit_checks(model, bounds)
+        report = check_regular_axioms(model, bounds)
+        got = [(c.name, c.ok, c.cases, c.witness) for c in report.checks[11:]]
+        assert got == expected
+
+    def test_pullbacks_are_taken_once_per_shape(self, monkeypatch):
+        # rows 1, 2, 1, 2, 1, 2: 8 shapes of cospan stand for 216 cospans
+        model, bounds = criterion_model(), AxiomBounds()
+        family = syncat._limit_family(model, bounds)
+        assert [len(o) for o in family] == [1, 2, 1, 2, 1, 2]
+        calls = []
+
+        def counted(t1, t2):
+            calls.append((t1, t2))
+            return pullback_ir(t1, t2)
+
+        monkeypatch.setattr(syncat, "pullback_ir", counted)
+        assert check_regular_axioms(model, bounds).ok
+        shapes = {
+            (len(o), len(o1), len(o2))
+            for o in family
+            for o1 in family
+            for o2 in family
+        }
+        assert len(shapes) == 8
+        # one pullback per cospan of functions o1 -> o <- o2 of each shape
+        assert len(calls) == sum(r ** (r1 + r2) for r, r1, r2 in shapes) == 40
+
+    def test_associativity_stops_at_its_first_failure(self, monkeypatch):
+        # No seam reaches the chains, so break composition itself, on
+        # two-row domains only: six chains pass before the seventh fails,
+        # and the nine after it must add no case.
+        model = mk_model({"a": ("0",), "b": ("0", "1")}, {})
+        bounds = AxiomBounds()
+        compose = syncat._compose
+
+        def broken(before, after):
+            masks = compose(before, after)
+            if len(before) == len(after) == 2:
+                masks = (masks[0] | 1, *masks[1:])
+            return masks
+
+        monkeypatch.setattr(syncat, "_compose", broken)
+        expected = full_assoc_check(model, bounds)
+        assert expected[0][1:3] == (False, 345)
+        got = syncat._assoc_check(model, bounds)
+        assert [(c.name, c.ok, c.cases, c.witness) for c in got] == expected
 
     def test_late_sabotages_fail_past_the_first_shape(self, monkeypatch):
         # so the comparison above also covers witnesses from later shapes
