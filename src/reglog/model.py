@@ -14,9 +14,13 @@ instead of scanning the relation.  The indexes are built once per model, per
 predicate and pattern, and kept on the model, so many queries on one model
 hash each relation only once per way they probe it.  The plan runs as a loop
 over an explicit stack, so neither the number of cells nor the nesting depth
-is bounded by the interpreter's recursion limit.  A deliberately separate
-brute-force evaluator lives in :mod:`reglog.naive` and is used to cross-check
-this one; keep the two implementations independent.
+is bounded by the interpreter's recursion limit.  The loop stops one step
+early: each entry of the next-to-last step probes the last step's index once
+and adds all of that probe's rows to the answer in one set update, each row
+read by an ``operator.itemgetter`` worked out once per call, and the answer's
+size is checked against ``EVAL_MAX_ROWS`` after each such update.  A
+deliberately separate brute-force evaluator lives in :mod:`reglog.naive` and
+is used to cross-check this one; keep the two implementations independent.
 
 Models and relations are never changed after construction, and a model's
 index cache holds only data derived from its relations, so evaluation of many
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .context import Context, ContextMorphism, oplus
@@ -208,6 +213,21 @@ def _index(
     return index
 
 
+# The step the depth-first loop starts from: it matches once and binds nothing,
+# so a one-step plan is one bulk update on the empty key.
+_ROOT: tuple[dict, tuple[int, ...], tuple[int, ...]] = ({(): ((),)}, (), ())
+
+
+def _row_getter(positions: list[int]) -> itemgetter:
+    """Read the atoms at ``positions`` off a tuple, always as a tuple: a
+    slice for none or one, where ``itemgetter`` would return a bare atom."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    if not positions:
+        return itemgetter(slice(0))
+    return itemgetter(*positions)
+
+
 # A result row of four atoms takes about 180 bytes while the set of rows and
 # the frozenset made from it are both alive: 2^20 rows peaked at 194 MB in
 # eval_term (1.1 s) and at 387 MB in ``reglog eval``, which also prints them
@@ -228,13 +248,19 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
     Each cell's shell is still checked on every call.  Loose dots that the
     outer row reads come last, each as a step that holds its whole domain.
     The plan then runs as a depth-first loop over an explicit stack of probe
-    results.
+    results, down to the next-to-last step, under a root step that matches
+    once and binds nothing.  Each entry that step binds probes the last
+    step's index once and adds every row of the probe in one set update: an
+    out row is read off ``head + entry``, where ``head`` holds the out-row
+    atoms that earlier steps bound, by one getter worked out per call.  A
+    one-step plan is one such update on the empty key.
 
     The answer is bounded by ``EVAL_MAX_ROWS``; past it this raises
     ``EvalError``.  A term without cells is its loose outer dots alone, so
     it is refused before the loop.  Otherwise the loop counts the rows each
-    time the last step runs dry, so the set passes the limit by at most one
-    step's entries, and a term whose cells match nothing is never refused.
+    time the last step runs dry, that is after each bulk update, once per
+    probe, so the set passes the limit by at most one probe's entries, and a
+    term whose cells match nothing is never refused.
     """
     if not term.is_flat():
         _check_leaves(term, model)
@@ -279,9 +305,17 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
 
     if not steps:
         return FinRelation(d.outer, frozenset({()}))
+    last_index, last_key, last_new = steps.pop()
+    # An out row is read off the out-row atoms that earlier steps bound
+    # (the head) followed by an entry of the last step.
+    head_dots = tuple(dict.fromkeys(i for i in out_row if i not in last_new))
+    where = {dot: p for p, dot in enumerate(head_dots + last_new)}
+    row_of = _row_getter([where[dot] for dot in out_row])
+    # Steps 0..inner run depth-first under the root; the last one in bulk.
+    steps.insert(0, _ROOT)
     value: list[str | None] = [None] * d.num_dots
     results: set[tuple[str, ...]] = set()
-    last = len(steps) - 1
+    inner = len(steps) - 1
     # its[k] iterates the entries step k may bind under steps 0..k-1.
     its = [iter(())] * len(steps)
     its[0] = iter(steps[0][0].get((), ()))
@@ -291,19 +325,23 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
         for entry in its[k]:
             for dot, atom in zip(new_dots, entry):
                 value[dot] = atom
-            if k == last:
-                results.add(tuple([value[i] for i in out_row]))
+            if k == inner:
+                rows = last_index.get(tuple([value[i] for i in last_key]))
+                if rows is None:
+                    continue
+                head = tuple([value[i] for i in head_dots])
+                results.update(map(row_of, map(head.__add__, rows)))
+                if len(results) > EVAL_MAX_ROWS:
+                    raise EvalError(
+                        "the term's value has more than the limit of "
+                        f"EVAL_MAX_ROWS = {EVAL_MAX_ROWS} rows"
+                    )
             else:
                 k += 1
                 index, key, _ = steps[k]
                 its[k] = iter(index.get(tuple([value[i] for i in key]), ()))
                 break
         else:
-            if k == last and len(results) > EVAL_MAX_ROWS:
-                raise EvalError(
-                    "the term's value has more than the limit of "
-                    f"EVAL_MAX_ROWS = {EVAL_MAX_ROWS} rows"
-                )
             k -= 1
     return FinRelation(d.outer, frozenset(results))
 

@@ -12,6 +12,7 @@ satisfying Frobenius reciprocity and base change.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections import Counter
 from random import Random
 
@@ -218,6 +219,38 @@ class TestEvalBound:
         with pytest.raises(EvalError, match="EVAL_MAX_ROWS = 1 rows$"):
             eval_term(path_term(1), m)
 
+    def test_a_multi_cell_plan_is_checked_after_every_probe(self, monkeypatch):
+        # E(v0, v1) ∧ E(v1, v2) exposing all three dots, on the complete graph
+        # on three atoms: each of the nine edges the first cell binds probes
+        # the second cell once, which adds three new rows.
+        atoms = ("a", "b", "c")
+        m = mk_model(
+            {"x": atoms},
+            {"E": mk_context(("x", "x"))},
+            {"E": itertools.product(atoms, repeat=2)},
+        )
+        t = binary_query((0, 1, 2), ("E", (0, 1)), ("E", (1, 2)))
+        probes = []
+
+        class Probed(dict):
+            def get(self, key, default=None):
+                probes.append(key)
+                return super().get(key, default)
+
+        index = model_mod._index
+        monkeypatch.setattr(model_mod, "_index", lambda *args: Probed(index(*args)))
+        monkeypatch.setattr(model_mod, "EVAL_MAX_ROWS", 27)
+        assert len(eval_term(t, m)) == 27
+        monkeypatch.setattr(model_mod, "EVAL_MAX_ROWS", 26)
+        with pytest.raises(EvalError, match="EVAL_MAX_ROWS = 26 rows$"):
+            eval_term(t, m)
+        # refused at the first probe of the last cell that passes the limit
+        monkeypatch.setattr(model_mod, "EVAL_MAX_ROWS", 4)
+        probes.clear()
+        with pytest.raises(EvalError, match="EVAL_MAX_ROWS = 4 rows$"):
+            eval_term(t, m)
+        assert [len(key) for key in probes] == [0, 1, 1]
+
     def test_loose_outer_dots_over_the_limit_are_refused_before_the_loop(
         self, monkeypatch
     ):
@@ -359,6 +392,10 @@ def plan_features(term: GraphicalTerm, model: ModelInstance) -> set[str]:
     sizes = [len(model.relation(c)) for c in flat.cells]
     plan = [rows[i] for i in sorted(range(len(rows)), key=sizes.__getitem__)]
     touched = {dot for row in rows for dot in row}
+    loose = set(out) - touched
+    # the dots the last step binds: a loose outer dot, or a cell's new dots
+    last_new = loose or (set(plan[-1]) - set().union(*plan[:-1]) if plan else set())
+    steps = len(plan) + len(loose)
     cases = {
         "nested": not term.is_flat(),
         "dot repeated in a cell": any(len(set(r)) < len(r) for r in rows),
@@ -371,6 +408,12 @@ def plan_features(term: GraphicalTerm, model: ModelInstance) -> set[str]:
         "probe on two dots": any(
             len(set(r) & set().union(*plan[:k])) >= 2 for k, r in enumerate(plan)
         ),
+        # the last step's rows are added in bulk, read off head + entry
+        "one-step plan": steps == 1,
+        "one-dot out row": len(out) == 1,
+        "empty out row with cells": not out and bool(rows),
+        "last step binds no outer dot": bool(rows) and not last_new & set(out),
+        "loose last step after a cell": bool(rows) and bool(loose),
     }
     return {case for case, hit in cases.items() if hit}
 
@@ -399,7 +442,7 @@ class TestJoinPlan:
         for term, model in join_plan_cases():
             assert eval_term(term, model) == eval_term_naive(term, model)
             reached.update(plan_features(term, model))
-        assert len(reached) == 10 and min(reached.values()) >= 10, reached
+        assert len(reached) == 15 and min(reached.values()) >= 10, reached
 
     def test_nested_errors_match_level_by_level_evaluation(self):
         # (id-with-white-y(P), Q) with y empty and Q missing: the nested cell
