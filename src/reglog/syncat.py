@@ -30,18 +30,18 @@ its first witness, in sweep order, but keeps counting every case it tries, so
 the case counts are the same whether the check passes or fails.  Two objects
 with the same number of rows are isomorphic, and every law here is invariant
 under isomorphism (a pullback, equalizer or image is only defined up to one
-anyway), so every sweep but the image sweep runs on the skeleton: once per
-shape of object, pair, cospan or chain, counted for every member.
+anyway), so every sweep runs on the skeleton: once per shape of object, pair,
+cospan, chain or cone apex, counted for every member.
 Negative bounds, and bounds under which the sweeps would pass one of the
 ``AXIOMS_MAX_*`` limits (contexts, bits of masks, objects, relations,
 associativity triples, objects of the limit family), are refused before
 anything is built.
 
 Where a sweep reads only the masks of a composite, it composes the bare masks
-with ``_compose`` instead of building a relation to throw away.  The sweeps
-still call ``mu_ir``, ``pullback_ir``, ``equalizer_ir``, ``image_ir`` and
-``classify`` through the module, so a broken replacement of any of them shows
-up in the report.
+with ``_compose`` and orders them with ``_leq`` instead of building a relation
+to throw away.  The sweeps still call ``mu_ir``, ``pullback_ir``,
+``equalizer_ir``, ``image_ir`` and ``classify`` through the module, so a
+broken replacement of any of them shows up in the report.
 """
 
 from __future__ import annotations
@@ -167,12 +167,17 @@ def transpose_ir(rel: InternalRelation) -> InternalRelation:
     return InternalRelation(rel.cod, rel.dom, tuple(columns))
 
 
+def _leq(lower: tuple[int, ...], upper: tuple[int, ...]) -> bool:
+    """The order on the masks of parallel relations: row-wise inclusion."""
+    return not any(a & ~b for a, b in zip(lower, upper))
+
+
 def leq_ir(lower: InternalRelation, upper: InternalRelation) -> bool:
     if (lower.dom is not upper.dom and lower.dom != upper.dom) or (
         lower.cod is not upper.cod and lower.cod != upper.cod
     ):
         raise CompositionError("ordering compares parallel relations")
-    return not any(a & ~b for a, b in zip(lower.masks, upper.masks))
+    return _leq(lower.masks, upper.masks)
 
 
 def meet_ir(a: InternalRelation, b: InternalRelation) -> InternalRelation:
@@ -239,15 +244,15 @@ def classify(rel: InternalRelation) -> Classification:
 
     The direct route reads both properties off the masks: every row has a
     bit, and no row has two.  The adjoint route asks whether the transpose
-    is a right adjoint (unit and counit inequalities).  Both are computed
-    and must agree.
+    is a right adjoint (unit and counit inequalities, tested on the masks of
+    the composites).  Both are computed and must agree.
     """
     total = all(rel.masks)
     deterministic = all(mask & (mask - 1) == 0 for mask in rel.masks)
 
-    dag = transpose_ir(rel)
-    unit = leq_ir(identity_ir(rel.dom), compose_ir(rel, dag))
-    counit = leq_ir(compose_ir(dag, rel), identity_ir(rel.cod))
+    dag = transpose_ir(rel).masks
+    unit = _leq(_ones(len(rel.dom)), _compose(rel.masks, dag))
+    counit = _leq(_compose(dag, rel.masks), _ones(len(rel.cod)))
     via_adjoint = unit and counit
     via_rows = total and deterministic
     if via_rows != via_adjoint:
@@ -699,12 +704,11 @@ def _terminal_checks(objs: list[FinRelation], cap: int) -> list[CheckResult]:
 def _hom_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
     validity, threeway, discrete, remark, invol, unital, adjoint = _fresh(_HOM_LAWS)
     full1 = o1.tuples
-    id1, id2 = identity_ir(o1), identity_ir(o2)
     ones1, ones2 = _ones(len(o1)), _ones(len(o2))
     # the adjoint-existence route, with the candidate adjoint
     # enumerated, runs on the pairs without extra support
     plain = not (o1.context.extra_support() or o2.context.extra_support())
-    backwards = enumerate_relations(o2, o1) if plain else []
+    backwards = [xi.masks for xi in _relations(o2, o1)] if plain else []
     functions = []
     for rel in enumerate_relations(o1, o2):
         # frame condition: squeezing between the identities is a no-op
@@ -737,19 +741,18 @@ def _hom_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
             remark.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
         if plain:
             has_adjoint = any(
-                leq_ir(id1, compose_ir(rel, xi))
-                and leq_ir(compose_ir(xi, rel), id2)
+                _leq(ones1, _compose(rel.masks, xi))
+                and _leq(_compose(xi, rel.masks), ones2)
                 for xi in backwards
             )
             if not adjoint.count(has_adjoint == cls.function):
                 adjoint.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
     for fa in functions:
         for fb in functions:
-            # strict inclusion, row by row; tuple ``<`` would
-            # compare the masks as numbers
+            # no strict inclusion; tuple ``<`` would compare the masks as
+            # numbers
             if not discrete.count(
-                fa.masks == fb.masks
-                or any(a & ~b for a, b in zip(fa.masks, fb.masks))
+                fa.masks == fb.masks or not _leq(fa.masks, fb.masks)
             ):
                 discrete.fail(f"{o1} -> {o2}")
     return [validity, threeway, discrete, remark, invol, unital, adjoint]
@@ -822,13 +825,18 @@ def _assoc_check(model: ModelInstance, bounds: AxiomBounds) -> list[CheckResult]
 
 def _cones(
     family: list[FinRelation], o1: FinRelation, ts: list[InternalRelation]
-) -> list[tuple[FinRelation, list[InternalRelation], list[list[tuple[int, ...]]]]]:
-    """Per cone apex ``x`` of the family: the functions ``u: x -> o1``, and
-    for each the masks of ``u ; t`` for every ``t`` in ``ts``."""
+) -> list[
+    tuple[FinRelation, int, list[InternalRelation], list[list[tuple[int, ...]]]]
+]:
+    """Per row count of the family's cone apexes: its first apex ``x`` in
+    family order, how many apexes share it, the functions ``u: x -> o1``, and
+    for each the masks of ``u ; t`` for every ``t`` in ``ts``.  Apexes of one
+    row count are isomorphic, so one stands for all of them."""
     cones = []
-    for x in family:
+    for x, members in _buckets(family, len).values():
         us = enumerate_functions(x, o1)
-        cones.append((x, us, [[_compose(u.masks, t.masks) for t in ts] for u in us]))
+        after = [[_compose(u.masks, t.masks) for t in ts] for u in us]
+        cones.append((x, members, us, after))
     return cones
 
 
@@ -851,7 +859,7 @@ def _pullback_laws(
                 pb_exists.fail(f"cospan {o1} -> {o} <- {o2}")
             if is_regular_epi_ir(t2) and not stability.count(is_regular_epi_ir(p1)):
                 stability.fail(f"cospan {o1} -> {o} <- {o2}")
-            for (x, u1s, after1), (_, u2s, after2) in cones:
+            for (x, members, u1s, after1), (_, _, u2s, after2) in cones:
                 # the mediators of each pair of legs, in order
                 by_legs = None
                 for u1, lead in zip(u1s, after1):
@@ -868,7 +876,7 @@ def _pullback_laws(
                                 by_legs.setdefault(key, []).append(m.masks)
                         mediators = by_legs.get((u1.masks, u2.masks), [])
                         if not pb_unique.count(
-                            mediators == [pair_ir(u1, u2, apex).masks]
+                            mediators == [pair_ir(u1, u2, apex).masks], members
                         ):
                             pb_unique.fail(f"cone {x} over {o1} -> {o} <- {o2}")
     return [pb_exists, pb_unique, stability]
@@ -903,7 +911,7 @@ def _equalizer_laws(
                 check.fail(f"parallel pair {o1} -> {o2}")
                 if first:
                     continue
-            for x, us, after in cones:
+            for x, members, us, after in cones:
                 legs = None
                 for u, via in zip(us, after):
                     if via[q1] != via[q2]:
@@ -913,7 +921,7 @@ def _equalizer_laws(
                             _compose(m.masks, incl.masks)
                             for m in enumerate_functions(x, obj)
                         ]
-                    if not check.count(legs.count(u.masks) == 1):
+                    if not check.count(legs.count(u.masks) == 1, members):
                         check.fail(f"cone {x} into equalizer of {o1} -> {o2}")
     return [check]
 
@@ -925,49 +933,89 @@ def _equalizer_checks(family: list[FinRelation]) -> list[CheckResult]:
     return _on_skeleton(_EQUALIZER_LAWS, classes, _equalizer_laws, with_ok=True)
 
 
+def _image_laws(
+    a: FinRelation, b: FinRelation
+) -> tuple[CheckResult, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The image factorization of every function ``a -> b``, and the masks of
+    the regular epis and of the monos among those functions, in order."""
+    img = CheckResult(_IMAGE_LAWS[0], True, 0)
+    epis, monos = [], []
+    for t in enumerate_functions(a, b):
+        epi, mono = image_ir(t)
+        if not img.count(
+            _compose(epi.masks, mono.masks) == t.masks
+            and is_regular_epi_ir(epi)
+            and is_mono_ir(mono)
+            and is_function(epi)
+            and is_function(mono)
+        ):
+            img.fail(f"function {a} -> {b}")
+        if is_regular_epi_ir(t):
+            epis.append(t.masks)
+        if is_mono_ir(t):
+            monos.append(t.masks)
+    return img, epis, monos
+
+
+def _orthogonal(e: InternalRelation, m: InternalRelation) -> tuple[bool, int]:
+    """Whether every commuting square ``e ; g == f ; m`` of functions has
+    exactly one diagonal ``h`` (``e ; h == f`` and ``h ; m == g``), and how
+    many squares there are."""
+    gs = enumerate_functions(e.cod, m.cod)
+    e_then = [_compose(e.masks, g.masks) for g in gs]
+    legs = None
+    holds, squares = True, 0
+    for f in enumerate_functions(e.dom, m.dom):
+        fm = _compose(f.masks, m.masks)
+        for g, eg in zip(gs, e_then):
+            if eg != fm:
+                continue
+            if legs is None:
+                legs = [
+                    (_compose(e.masks, h.masks), _compose(h.masks, m.masks))
+                    for h in enumerate_functions(e.cod, m.dom)
+                ]
+            squares += 1
+            if legs.count((f.masks, g.masks)) != 1:
+                holds = False
+    return holds, squares
+
+
 def _image_checks(family: list[FinRelation]) -> list[CheckResult]:
+    """Image factorization of every function between objects of the family,
+    then orthogonality of its first 12 regular epis to its first 12 monos.
+
+    The pairs are walked in order, but the functions of a pair are decided
+    once per shape ``(len(a), len(b))``, and each square of an epi and a mono
+    once per shape of both and their masks; see ``_on_skeleton``.
+    """
     img, ortho = _fresh(_IMAGE_LAWS)
     epis: list[InternalRelation] = []
     monos: list[InternalRelation] = []
+    pairs: dict = {}
     for a in family:
         for b in family:
-            for t in enumerate_functions(a, b):
-                epi, mono = image_ir(t)
-                if not img.count(
-                    _compose(epi.masks, mono.masks) == t.masks
-                    and is_regular_epi_ir(epi)
-                    and is_mono_ir(mono)
-                    and is_function(epi)
-                    and is_function(mono)
-                ):
-                    img.fail(f"function {a} -> {b}")
-                if is_regular_epi_ir(t):
-                    epis.append(t)
-                if is_mono_ir(t):
-                    monos.append(t)
-    epis = epis[:12]
-    monos = monos[:12]
+            shape = (len(a), len(b))
+            if shape not in pairs:
+                pairs[shape] = _image_laws(a, b)
+            part, epi_masks, mono_masks = pairs[shape]
+            if not img.count(part.ok, part.cases):
+                img.fail(part.witness)
+            epis.extend(InternalRelation(a, b, k) for k in epi_masks[: 12 - len(epis)])
+            monos.extend(
+                InternalRelation(a, b, k) for k in mono_masks[: 12 - len(monos)]
+            )
+    squares: dict = {}
     for e in epis:
         for m in monos:
-            fs = enumerate_functions(e.dom, m.dom)
-            gs = enumerate_functions(e.cod, m.cod)
-            e_then = [_compose(e.masks, g.masks) for g in gs]
-            legs = None
-            for f in fs:
-                fm = _compose(f.masks, m.masks)
-                for g, eg in zip(gs, e_then):
-                    if eg != fm:
-                        continue
-                    if legs is None:
-                        legs = [
-                            (_compose(e.masks, h.masks), _compose(h.masks, m.masks))
-                            for h in enumerate_functions(e.cod, m.dom)
-                        ]
-                    if not ortho.count(legs.count((f.masks, g.masks)) == 1):
-                        ortho.fail(
-                            f"square over epi {e.dom} ->> {e.cod}, "
-                            f"mono {m.dom} >-> {m.cod}"
-                        )
+            key = (len(e.dom), len(e.cod), e.masks, len(m.dom), len(m.cod), m.masks)
+            if key not in squares:
+                squares[key] = _orthogonal(e, m)
+            if not ortho.count(*squares[key]):
+                ortho.fail(
+                    f"square over epi {e.dom} ->> {e.cod}, "
+                    f"mono {m.dom} >-> {m.cod}"
+                )
     return [img, ortho]
 
 
@@ -988,11 +1036,11 @@ AXIOMS_MAX_MASK_BITS = 2**32
 # time (131,088 in 2.8 s).  Associativity counts the triples of every chain
 # but decides each shape of chain once: two types of two rows, 65,536 triples
 # in one shape of 4,096, take 4 ms; one chain of three-row objects, 2^27
-# triples, took 105 s.  The limit sweeps decide each shape of cospan or
-# parallel pair once, but every cone apex and function of the family is still
-# tried: 16 objects, half of them of two rows (six two-atom types), take
-# 60 ms (8.7 s a cospan at a time), and 25 ms on one-atom types.  So these two
-# limits now over-count the work and only refuse early.
+# triples, took 105 s.  The limit sweeps decide each shape of cospan, parallel
+# pair or pair of objects once, and each cone apex once per row count: the
+# three of them take 8 ms on 16 objects, half of them of two rows (six
+# two-atom types), and 5 ms on one-atom types.  So these two limits now
+# over-count the work and only refuse early.
 AXIOMS_MAX_OBJECTS = 2**18
 AXIOMS_MAX_RELATIONS = 2**19
 AXIOMS_MAX_ASSOC_TRIPLES = 2**20
@@ -1127,10 +1175,11 @@ def check_regular_axioms(
 
     A check's case count is the number of cases its law covers over the
     whole bounded family, for instance one per relation between each
-    admitted pair of objects.  Every sweep but the image sweep decides each
-    law once per shape (the rows of the objects, and for the hom sweep
-    whether a context has extra support) and counts its cases for every
-    object, pair, cospan or chain of that shape; see ``_on_skeleton``.
+    admitted pair of objects.  Every sweep decides each law once per shape
+    (the rows of the objects, and for the hom sweep whether a context has
+    extra support), and the limit sweeps each cone apex once per row count;
+    the cases are counted for every object, pair, cospan, chain or apex of
+    that shape; see ``_on_skeleton``.
 
     Each check's ``seconds`` is the wall time of the sweep that computed it;
     checks computed in one sweep share that sweep's time.  The pullback,

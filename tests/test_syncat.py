@@ -107,6 +107,22 @@ SMALL_OBJECTS = [
 ]
 FULL_OBJECTS = [O2, rho_lax(O1, O1), rho_lax(O2, O1)]
 
+# every pair of objects of up to 3 x 2 rows, both ways
+THREE = mk_relation(mk_context(("x",)), [("0",), ("1",), ("2",)])
+UP_TO_3_BY_2 = [
+    *itertools.product(subobjects(THREE), subobjects(O2)),
+    *itertools.product(subobjects(O2), subobjects(THREE)),
+]
+
+
+def classify_by_relations(rel: InternalRelation) -> Classification:
+    """The unit and counit inequalities of the transpose, on relations."""
+    dag = transpose_ir(rel)
+    return Classification(
+        leq_ir(identity_ir(rel.dom), compose_ir(rel, dag)),
+        leq_ir(compose_ir(dag, rel), identity_ir(rel.cod)),
+    )
+
 
 class TestObjects:
     def test_object_validation(self):
@@ -336,18 +352,19 @@ class TestClassification:
 
     def test_three_way_classification_exhaustive(self):
         # Totality is the unit inequality, determinism the counit inequality,
-        # separately, for every relation between small objects.
-        for dom in subobjects(O2):
-            for cod in subobjects(rho_lax(O1, O1)):
-                for rel in enumerate_relations(dom, cod):
-                    dag = transpose_ir(rel)
-                    unit = leq_ir(identity_ir(dom), compose_ir(rel, dag))
-                    counit = leq_ir(compose_ir(dag, rel), identity_ir(cod))
-                    c = classify(rel)
-                    assert c.total == unit
-                    assert c.deterministic == counit
-                    assert c.function == (unit and counit)
-                    assert is_function(rel) == c.function
+        # separately, for every relation between small objects; classify
+        # tests them on bare masks, the route here on relations.
+        pairs = [
+            *itertools.product(subobjects(O2), subobjects(rho_lax(O1, O1))),
+            *UP_TO_3_BY_2,
+        ]
+        for dom, cod in pairs:
+            for rel in enumerate_relations(dom, cod):
+                c = classify(rel)
+                assert c == classify_by_relations(rel)
+                assert c.total == all(rel.masks)
+                assert c.deterministic == all(not m & (m - 1) for m in rel.masks)
+                assert is_function(rel) == c.function
 
     def test_functions_are_exactly_the_left_adjoints(self):
         # Search all candidate right adjoints explicitly: a relation has one
@@ -362,6 +379,18 @@ class TestClassification:
             assert bool(candidates) == is_function(rel)
             if candidates:
                 assert candidates == [transpose_ir(rel)]
+
+    def test_adjoint_search_agrees_with_the_relation_route(self, monkeypatch):
+        # The hom sweep searches for adjoints on bare masks.  With classify
+        # patched to the relation route, its check passes exactly when the
+        # search finds an adjoint for the same relations, and the order check
+        # compares every pair of the len(o2) ** len(o1) functions.
+        monkeypatch.setattr(syncat, "classify", classify_by_relations)
+        for o1, o2 in UP_TO_3_BY_2:
+            checks = syncat._hom_laws(o1, o2)
+            discrete, adjoint = checks[2], checks[-1]
+            assert discrete.cases == (len(o2) ** len(o1)) ** 2
+            assert (adjoint.ok, adjoint.cases) == (True, 2 ** (len(o1) * len(o2)))
 
     def test_function_order_is_discrete(self):
         # No strict inequalities between functions.
@@ -577,6 +606,11 @@ def broken_image(rel):
     # keep the honest epi but let the mono drop its rows
     epi, mono = image_ir(rel)
     return epi, mk_internal_relation(mono.dom, mono.cod, [])
+
+
+def broken_pair(u1, u2, target):
+    # a tupling that pairs nothing
+    return mk_internal_relation(u1.dom, target, [])
 
 
 def broken_classify(rel):
@@ -1000,8 +1034,9 @@ def full_assoc_check(model, bounds) -> list[tuple[str, bool, int, str]]:
 
 def full_limit_checks(model, bounds) -> list[tuple[str, bool, int, str]]:
     """The pullback, equalizer and image sweeps without the skeleton: every
-    cospan, parallel pair and function of the family, in sweep order.  The
-    seams are looked up on the module, so a patched one is used here too."""
+    cospan, parallel pair, cone apex, function and square of the family, in
+    sweep order.  The seams and ``pair_ir`` are looked up on the module, so a
+    patched one is used here too."""
     family = syncat._limit_family(model, bounds)
     n = len(family)
     compose = syncat._compose
@@ -1050,7 +1085,8 @@ def full_limit_checks(model, bounds) -> list[tuple[str, bool, int, str]]:
                                         and compose(m.masks, p2.masks) == u2.masks
                                     ]
                                     if not pb_unique.count(
-                                        mediators == [pair_ir(u1, u2, apex).masks]
+                                        mediators
+                                        == [syncat.pair_ir(u1, u2, apex).masks]
                                     ):
                                         pb_unique.fail(
                                             f"cone {x} over {o1} -> {o} <- {o2}"
@@ -1113,8 +1149,9 @@ def full_limit_checks(model, bounds) -> list[tuple[str, bool, int, str]]:
     return [(c.name, c.ok, c.cases, c.witness) for c in checks.values()]
 
 
-# broken on objects (or, for the limits, domains) of two rows or more only:
-# the first failure is in a later shape than the smallest
+# broken on objects (or, for the limits and images, domains and cone apexes)
+# of two rows or more only: the first failure is in a later shape than the
+# smallest
 LATE_SABOTAGES = {
     "late_mu": ("mu_ir", lambda o: (broken_mu if len(o) >= 2 else mu_ir)(o)),
     "late_classify": (
@@ -1129,6 +1166,16 @@ LATE_SABOTAGES = {
         "equalizer_ir",
         lambda t1, t2: (broken_equalizer if len(t1.dom) >= 2 else equalizer_ir)(
             t1, t2
+        ),
+    ),
+    "late_image": (
+        "image_ir",
+        lambda rel: (broken_image if len(rel.dom) >= 2 else image_ir)(rel),
+    ),
+    "late_pair": (
+        "pair_ir",
+        lambda u1, u2, target: (broken_pair if len(u1.dom) >= 2 else pair_ir)(
+            u1, u2, target
         ),
     ),
 }
@@ -1204,6 +1251,30 @@ class TestSkeleton:
         # one pullback per cospan of functions o1 -> o <- o2 of each shape
         assert len(calls) == sum(r ** (r1 + r2) for r, r1, r2 in shapes) == 40
 
+    def test_images_and_cones_are_taken_once_per_shape(self, monkeypatch):
+        # rows 1, 2, 1, 2, 1, 2: 4 shapes of pair stand for 36 pairs
+        model, bounds = criterion_model(), AxiomBounds()
+        family = syncat._limit_family(model, bounds)
+        functions = [enumerate_functions(a, b) for a in family for b in family]
+        assert sum(map(len, functions)) == 72
+        calls = []
+
+        def counted(rel):
+            calls.append(rel)
+            return image_ir(rel)
+
+        monkeypatch.setattr(syncat, "image_ir", counted)
+        assert check_regular_axioms(model, bounds).ok
+        # one image per function of each shape: (1, 1), (1, 2), (2, 1), (2, 2)
+        assert len(calls) == 1 + 2 + 1 + 4
+        # one cone per apex row count, standing for the three apexes of each
+        o1 = family[1]
+        cones = syncat._cones(family, o1, enumerate_functions(o1, o1))
+        assert [(x, members) for x, members, *_ in cones] == [
+            (family[0], 3),
+            (family[1], 3),
+        ]
+
     def test_associativity_stops_at_its_first_failure(self, monkeypatch):
         # No seam reaches the chains, so break composition itself, on
         # two-row domains only: six chains pass before the seventh fails,
@@ -1227,12 +1298,32 @@ class TestSkeleton:
     def test_late_sabotages_fail_past_the_first_shape(self, monkeypatch):
         # so the comparison above also covers witnesses from later shapes
         model, bounds = self.FAMILIES["criterion, small"]
+        failing = {
+            "late_mu": {
+                "frobenius_special_per_object",
+                "adjoint_monoid_inequalities",
+            },
+            "late_classify": {
+                "terminal_map_unique",
+                "order_on_functions_discrete",
+                "entailments_sharpen_to_equalities",
+                "left_adjoints_are_the_functions",
+            },
+            "late_pullback": set(LIMIT_LAWS[:3]),
+            "late_equalizer": {"equalizer_universal"},
+            # a function out of a two-row object, and cones from a two-row apex
+            "late_image": {"image_factorization"},
+            "late_pair": {"pullback_mediator_unique"},
+        }
+        assert set(failing) == set(LATE_SABOTAGES)
         for name, (attr, broken) in LATE_SABOTAGES.items():
             monkeypatch.setattr(syncat, attr, broken)
             report = check_regular_axioms(model, bounds)
-            witnesses = [c.witness for c in report.checks if not c.ok]
-            assert witnesses, name
-            assert all("(x), rows [('0',), ('1',)]" in w for w in witnesses), name
+            failed = {c.name: c.witness for c in report.checks if not c.ok}
+            assert set(failed) == failing[name], name
+            assert all(
+                "(x), rows [('0',), ('1',)]" in w for w in failed.values()
+            ), name
             monkeypatch.undo()
 
 
