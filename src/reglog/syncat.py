@@ -52,7 +52,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, reduce
-from operator import or_
+from operator import eq, or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .context import Context, mk_context, oplus, terminal_ctx
@@ -582,8 +582,8 @@ _HOM_LAWS = (
     "entailments_sharpen_to_equalities",
     "transpose_involutive",
     "composition_unital",
-    "left_adjoints_are_the_functions",
 )
+_ADJOINT_LAWS = ("left_adjoints_are_the_functions",)
 
 
 def _fresh(names: tuple[str, ...]) -> list[CheckResult]:
@@ -702,15 +702,13 @@ def _terminal_checks(objs: list[FinRelation], cap: int) -> list[CheckResult]:
 
 
 def _hom_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
-    validity, threeway, discrete, remark, invol, unital, adjoint = _fresh(_HOM_LAWS)
+    """Every hom law but the adjoint search on the relations ``o1 -> o2``;
+    none of them reads whether a context has extra support."""
+    validity, threeway, discrete, remark, invol, unital = _fresh(_HOM_LAWS)
     full1 = o1.tuples
     ones1, ones2 = _ones(len(o1)), _ones(len(o2))
-    # the adjoint-existence route, with the candidate adjoint
-    # enumerated, runs on the pairs without extra support
-    plain = not (o1.context.extra_support() or o2.context.extra_support())
-    backwards = [xi.masks for xi in _relations(o2, o1)] if plain else []
     functions = []
-    for rel in enumerate_relations(o1, o2):
+    for rel in _relations(o1, o2):
         # frame condition: squeezing between the identities is a no-op
         left_unit = _compose(ones1, rel.masks)
         if not validity.count(_compose(left_unit, ones2) == rel.masks):
@@ -739,14 +737,6 @@ def _hom_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
                 good = False
         if not remark.count(good):
             remark.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
-        if plain:
-            has_adjoint = any(
-                _leq(ones1, _compose(rel.masks, xi))
-                and _leq(_compose(xi, rel.masks), ones2)
-                for xi in backwards
-            )
-            if not adjoint.count(has_adjoint == cls.function):
-                adjoint.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
     for fa in functions:
         for fb in functions:
             # no strict inclusion; tuple ``<`` would compare the masks as
@@ -755,7 +745,25 @@ def _hom_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
                 fa.masks == fb.masks or not _leq(fa.masks, fb.masks)
             ):
                 discrete.fail(f"{o1} -> {o2}")
-    return [validity, threeway, discrete, remark, invol, unital, adjoint]
+    return [validity, threeway, discrete, remark, invol, unital]
+
+
+def _adjoint_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
+    """Whether the relations ``o1 -> o2`` that have a right adjoint, found by
+    trying every candidate, are exactly the functions; run only where
+    neither context has extra support."""
+    (adjoint,) = _fresh(_ADJOINT_LAWS)
+    ones1, ones2 = _ones(len(o1)), _ones(len(o2))
+    backwards = [xi.masks for xi in _relations(o2, o1)]
+    for rel in _relations(o1, o2):
+        has_adjoint = any(
+            _leq(ones1, _compose(rel.masks, xi))
+            and _leq(_compose(xi, rel.masks), ones2)
+            for xi in backwards
+        )
+        if not adjoint.count(has_adjoint == classify(rel).function):
+            adjoint.fail(f"{o1} -> {o2}, rows {sorted(rel.rows)}")
+    return [adjoint]
 
 
 def _hom_shape(o: FinRelation) -> tuple[int, int, bool]:
@@ -766,15 +774,19 @@ def _hom_shape(o: FinRelation) -> tuple[int, int, bool]:
 def _hom_sweep_checks(
     objs: list[FinRelation], bounds: AxiomBounds
 ) -> list[CheckResult]:
+    """The hom laws once per ``(rows, rows)`` over every admitted pair, then
+    the adjoint search once per ``(rows, rows)`` over the plain pairs."""
     small = (o for o in objs if o.context.arity <= bounds.hom_arity)
     buckets = _buckets(small, _hom_shape).items()
-    classes = (
-        ((r1, r2, p1 and p2), (o1, o2), n1 * n2)
+    classes = [
+        (p1 and p2, ((r1, r2), (o1, o2), n1 * n2))
         for (a1, r1, p1), (o1, n1) in buckets
         for (a2, r2, p2), (o2, n2) in buckets
         if a1 + a2 <= bounds.hom_arity and r1 * r2 <= bounds.max_tuple_space
-    )
-    return _on_skeleton(_HOM_LAWS, classes, _hom_laws)
+    ]
+    hom = _on_skeleton(_HOM_LAWS, (c for _, c in classes), _hom_laws)
+    plain = (c for both, c in classes if both)
+    return hom + _on_skeleton(_ADJOINT_LAWS, plain, _adjoint_laws)
 
 
 def _assoc_laws(
@@ -785,24 +797,25 @@ def _assoc_laws(
         return [check]  # the sweep stops at its first failure
     as_ = enumerate_relations(o1, o2)
     bs = enumerate_relations(o2, o3)
-    cs = enumerate_relations(o3, o4)
-    bcs = [[_compose(b.masks, c.masks) for c in cs] for b in bs]
-    # (a;b);c depends on a;b only through its masks, and a;(b;c) on b;c
-    lhs_of: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    rhs_of: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-    for a_idx, a in enumerate(as_):
+    cs = [c.masks for c in enumerate_relations(o3, o4)]
+    bcs = [[_compose(b.masks, c) for c in cs] for b in bs]
+    distinct = set().union(*bcs)
+    # a row of (a;b);c over every c depends on a;b only, and a;(b;c) on b;c
+    lhs_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for a in as_:
+        rhs_of = {bc: _compose(a.masks, bc) for bc in distinct}
         for b, b_then in zip(bs, bcs):
             ab = _compose(a.masks, b.masks)
-            for c_idx, (c, bc) in enumerate(zip(cs, b_then)):
-                lhs = lhs_of.get((ab, c_idx))
-                if lhs is None:
-                    lhs = lhs_of[ab, c_idx] = _compose(ab, c.masks)
-                rhs = rhs_of.get((a_idx, bc))
-                if rhs is None:
-                    rhs = rhs_of[a_idx, bc] = _compose(a.masks, bc)
-                if not check.count(lhs == rhs):
-                    check.fail(f"{o1} -> {o2} -> {o3} -> {o4}")
-                    return [check]
+            lhs = lhs_of.get(ab)
+            if lhs is None:
+                lhs = lhs_of[ab] = [_compose(ab, c) for c in cs]
+            rhs = list(map(rhs_of.__getitem__, b_then))
+            if lhs != rhs:
+                # the sweep stops at the first failing c, counting it
+                check.count(False, list(map(eq, lhs, rhs)).index(False) + 1)
+                check.fail(f"{o1} -> {o2} -> {o3} -> {o4}")
+                return [check]
+            check.count(True, len(cs))
     return [check]
 
 
@@ -847,7 +860,16 @@ def _pullback_laws(
     cone from an apex of the family."""
     pb_exists, pb_unique, stability = _fresh(_PULLBACK_LAWS)
     t1s, t2s = enumerate_functions(o1, o), enumerate_functions(o2, o)
-    cones = list(zip(_cones(family, o1, t1s), _cones(family, o2, t2s)))
+    cones = []
+    for (x, members, u1s, after1), (_, _, u2s, after2) in zip(
+        _cones(family, o1, t1s), _cones(family, o2, t2s)
+    ):
+        # per leg t2, the legs u2 in order, by the masks of u2 ; t2
+        ends: list[dict[tuple[int, ...], list[InternalRelation]]] = [{} for _ in t2s]
+        for u2, other in zip(u2s, after2):
+            for end, mask in zip(ends, other):
+                end.setdefault(mask, []).append(u2)
+        cones.append((x, members, list(zip(u1s, after1)), ends))
     for q1, t1 in enumerate(t1s):
         for q2, t2 in enumerate(t2s):
             apex, p1, p2 = pullback_ir(t1, t2)
@@ -859,13 +881,12 @@ def _pullback_laws(
                 pb_exists.fail(f"cospan {o1} -> {o} <- {o2}")
             if is_regular_epi_ir(t2) and not stability.count(is_regular_epi_ir(p1)):
                 stability.fail(f"cospan {o1} -> {o} <- {o2}")
-            for (x, members, u1s, after1), (_, _, u2s, after2) in cones:
+            for x, members, legs, ends in cones:
                 # the mediators of each pair of legs, in order
                 by_legs = None
-                for u1, lead in zip(u1s, after1):
-                    for u2, other in zip(u2s, after2):
-                        if lead[q1] != other[q2]:
-                            continue
+                end = ends[q2]
+                for u1, lead in legs:
+                    for u2 in end.get(lead[q1], ()):
                         if by_legs is None:
                             by_legs = {}
                             for m in enumerate_functions(x, apex):
@@ -883,11 +904,13 @@ def _pullback_laws(
 
 
 def _pullback_checks(family: list[FinRelation]) -> list[CheckResult]:
+    """Each shape of cospan stands for the product of its three buckets."""
+    buckets = _buckets(family, len).items()
     classes = (
-        ((len(o), len(o1), len(o2)), (o, o1, o2, family), 1)
-        for o in family
-        for o1 in family
-        for o2 in family
+        ((n, n1, n2), (o, o1, o2, family), k * k1 * k2)
+        for n, (o, k) in buckets
+        for n1, (o1, k1) in buckets
+        for n2, (o2, k2) in buckets
     )
     return _on_skeleton(_PULLBACK_LAWS, classes, _pullback_laws)
 
@@ -1029,18 +1052,20 @@ AXIOMS_MAX_MASK_BITS = 2**32
 
 
 # Measured on a 2-vCPU host.  Objects: nine two-atom types at the default
-# bounds build 194,560 (peak 89 MB, 2.0 s for the whole suite), and 131,152
-# objects of up to 16 rows peaked at 178 MB.  Relations: the hom sweep takes
-# about 3.5 us per relation or candidate adjoint (975,456 in 3.3 s), and the
-# terminal sweep about 20 us per relation and subobject it counts, one at a
-# time (131,088 in 2.8 s).  Associativity counts the triples of every chain
-# but decides each shape of chain once: two types of two rows, 65,536 triples
-# in one shape of 4,096, take 4 ms; one chain of three-row objects, 2^27
-# triples, took 105 s.  The limit sweeps decide each shape of cospan, parallel
-# pair or pair of objects once, and each cone apex once per row count: the
-# three of them take 8 ms on 16 objects, half of them of two rows (six
-# two-atom types), and 5 ms on one-atom types.  So these two limits now
-# over-count the work and only refuse early.
+# bounds build 194,560 (peak 89 MB, 1.0-1.9 s for the whole suite, about
+# 0.9 s of it building them), and 131,152 objects of up to 16 rows peaked at
+# 178 MB.  Relations: the hom sweep takes about 2 us per relation or
+# candidate adjoint counted below (272,171, most of them the adjoints of
+# 3 x 3 rows, in 0.5 s), and the terminal sweep about 20 us per relation
+# and subobject it counts, one at a time (131,088 in 2.8 s).  Associativity
+# counts the triples of every chain but decides each shape of chain once, a
+# row of c at a time: two types of two rows, 65,536 triples in one shape of
+# 4,096, take 1 ms; one chain of three-row objects, 2^27 triples, took
+# 105 s.  The limit sweeps decide each shape of cospan, parallel pair or pair
+# of objects once, and each cone apex once per row count: the three of them
+# take 3.6 ms on 16 objects, half of them of two rows (six two-atom types),
+# and 0.8 ms on one-atom types.  So these two limits now over-count the work
+# and only refuse early.
 AXIOMS_MAX_OBJECTS = 2**18
 AXIOMS_MAX_RELATIONS = 2**19
 AXIOMS_MAX_ASSOC_TRIPLES = 2**20
@@ -1176,10 +1201,11 @@ def check_regular_axioms(
     A check's case count is the number of cases its law covers over the
     whole bounded family, for instance one per relation between each
     admitted pair of objects.  Every sweep decides each law once per shape
-    (the rows of the objects, and for the hom sweep whether a context has
-    extra support), and the limit sweeps each cone apex once per row count;
-    the cases are counted for every object, pair, cospan, chain or apex of
-    that shape; see ``_on_skeleton``.
+    (the rows of the objects; only the hom sweep's adjoint route, which runs
+    where neither context has extra support, reads that support), and the
+    limit sweeps each cone apex once per row count; the cases are counted
+    for every object, pair, cospan, chain or apex of that shape; see
+    ``_on_skeleton``.
 
     Each check's ``seconds`` is the wall time of the sweep that computed it;
     checks computed in one sweep share that sweep's time.  The pullback,

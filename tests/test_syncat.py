@@ -6,7 +6,7 @@ candidates); composition fails to preserve meets on a pinned two-element
 counterexample; every bitmask operation agrees with the set-of-rows oracle in
 ``helpers``; the bounded axiom suite passes on healthy inputs and, under
 deliberate sabotage of ``mu_ir``, ``pullback_ir``, ``equalizer_ir``,
-``image_ir`` or ``classify``, fails with a witness.
+``image_ir``, ``classify`` or ``_compose`` itself, fails with a witness.
 """
 
 from __future__ import annotations
@@ -381,14 +381,16 @@ class TestClassification:
                 assert candidates == [transpose_ir(rel)]
 
     def test_adjoint_search_agrees_with_the_relation_route(self, monkeypatch):
-        # The hom sweep searches for adjoints on bare masks.  With classify
-        # patched to the relation route, its check passes exactly when the
-        # search finds an adjoint for the same relations, and the order check
+        # The adjoint search runs on bare masks.  With classify patched to
+        # the relation route, its check passes exactly when the search finds
+        # an adjoint for the same relations, and the hom sweep's order check
         # compares every pair of the len(o2) ** len(o1) functions.
         monkeypatch.setattr(syncat, "classify", classify_by_relations)
         for o1, o2 in UP_TO_3_BY_2:
-            checks = syncat._hom_laws(o1, o2)
-            discrete, adjoint = checks[2], checks[-1]
+            discrete = syncat._hom_laws(o1, o2)[2]
+            (adjoint,) = syncat._adjoint_laws(o1, o2)
+            assert discrete.name == "order_on_functions_discrete"
+            assert adjoint.name == "left_adjoints_are_the_functions"
             assert discrete.cases == (len(o2) ** len(o1)) ** 2
             assert (adjoint.ok, adjoint.cases) == (True, 2 ** (len(o1) * len(o2)))
 
@@ -617,6 +619,15 @@ def broken_classify(rel):
     # Calling every relation a function puts nested relations among the
     # functions, so their order is no longer discrete.
     return Classification(True, True)
+
+
+def broken_compose(before, after, compose=syncat._compose):
+    # composition itself, wrong where both sides have two rows: no seam
+    # reaches associativity or the orthogonality squares
+    masks = compose(before, after)
+    if len(before) == len(after) == 2:
+        masks = (masks[0] | 1, *masks[1:])
+    return masks
 
 
 SABOTAGES = {
@@ -951,7 +962,8 @@ def per_member_checks(
     objs: list[FinRelation], bounds: AxiomBounds
 ) -> list[tuple[str, bool, int, str]]:
     """The per-object and hom sweeps without the skeleton: the shared bodies
-    on every object and every admitted pair, in sweep order."""
+    on every object and every admitted pair, in sweep order, and the adjoint
+    search on every admitted pair where neither context has extra support."""
 
     def sweep(names, parts_per_member):
         totals = [syncat.CheckResult(name, True, 0) for name in names]
@@ -964,20 +976,26 @@ def per_member_checks(
 
     cap = bounds.max_tuple_space
     hom = [o for o in objs if o.context.arity <= bounds.hom_arity]
+    pairs = [
+        (o1, o2)
+        for o1 in hom
+        for o2 in hom
+        if o1.context.arity + o2.context.arity <= bounds.hom_arity
+        and len(o1) * len(o2) <= cap
+    ]
     checks = [
         *sweep(syncat._OBJECT_LAWS, map(syncat._object_laws, objs)),
         *sweep(
             syncat._TERMINAL_LAWS,
             (syncat._terminal_laws(o) for o in objs if len(o) <= cap),
         ),
+        *sweep(syncat._HOM_LAWS, itertools.starmap(syncat._hom_laws, pairs)),
         *sweep(
-            syncat._HOM_LAWS,
+            syncat._ADJOINT_LAWS,
             (
-                syncat._hom_laws(o1, o2)
-                for o1 in hom
-                for o2 in hom
-                if o1.context.arity + o2.context.arity <= bounds.hom_arity
-                and len(o1) * len(o2) <= cap
+                syncat._adjoint_laws(o1, o2)
+                for o1, o2 in pairs
+                if not (o1.context.extra_support() or o2.context.extra_support())
             ),
         ),
     ]
@@ -1228,6 +1246,61 @@ class TestSkeleton:
         got = [(c.name, c.ok, c.cases, c.witness) for c in report.checks[11:]]
         assert got == expected
 
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_limit_and_assoc_reports_match_under_a_broken_compose(
+        self, family, monkeypatch
+    ):
+        # The one sabotage that fails regular_epi_mono_orthogonal.  It also
+        # breaks the hom sweep's own bookkeeping (an index past the end of a
+        # mask tuple), so the suite raises there; the sweeps after it are run
+        # one by one.
+        model, bounds = self.FAMILIES[family]
+        monkeypatch.setattr(syncat, "_compose", broken_compose)
+        expected = full_assoc_check(model, bounds) + full_limit_checks(model, bounds)
+        limits = syncat._limit_family(model, bounds)
+        got = [
+            (c.name, c.ok, c.cases, c.witness)
+            for c in [
+                *syncat._assoc_check(model, bounds),
+                *syncat._pullback_checks(limits),
+                *syncat._equalizer_checks(limits),
+                *syncat._image_checks(limits),
+            ]
+        ]
+        assert got == expected
+        if family == "criterion, default":
+            two = "((x), rows [('0',), ('1',)])"
+            assert got[-1] == (
+                "regular_epi_mono_orthogonal",
+                False,
+                189,
+                f"square over epi {two} ->> {two}, mono {two} >-> {two}",
+            )
+
+    def test_hom_laws_are_decided_once_per_pair_of_row_counts(self, monkeypatch):
+        # Only the adjoint search reads extra support, so the other six laws
+        # are decided once per (rows, rows) and the search once per such
+        # shape of the plain pairs: 17 each, from (0, 0) to (4, 1).
+        model, bounds = criterion_model(), AxiomBounds()
+        calls: dict[str, list] = {"_hom_laws": [], "_adjoint_laws": []}
+        for name, seen in calls.items():
+
+            def counted(o1, o2, body=getattr(syncat, name), seen=seen):
+                seen.append((len(o1), len(o2)))
+                return body(o1, o2)
+
+            monkeypatch.setattr(syncat, name, counted)
+        assert check_regular_axioms(model, bounds).ok
+        shapes = [
+            (r1, r2)
+            for r1 in range(5)
+            for r2 in range(5)
+            if r1 * r2 <= bounds.max_tuple_space
+        ]
+        assert len(shapes) == 17 and shapes[-1] == (4, 1)
+        for name, seen in calls.items():
+            assert sorted(seen) == shapes, name
+
     def test_pullbacks_are_taken_once_per_shape(self, monkeypatch):
         # rows 1, 2, 1, 2, 1, 2: 8 shapes of cospan stand for 216 cospans
         model, bounds = criterion_model(), AxiomBounds()
@@ -1281,15 +1354,7 @@ class TestSkeleton:
         # and the nine after it must add no case.
         model = mk_model({"a": ("0",), "b": ("0", "1")}, {})
         bounds = AxiomBounds()
-        compose = syncat._compose
-
-        def broken(before, after):
-            masks = compose(before, after)
-            if len(before) == len(after) == 2:
-                masks = (masks[0] | 1, *masks[1:])
-            return masks
-
-        monkeypatch.setattr(syncat, "_compose", broken)
+        monkeypatch.setattr(syncat, "_compose", broken_compose)
         expected = full_assoc_check(model, bounds)
         assert expected[0][1:3] == (False, 345)
         got = syncat._assoc_check(model, bounds)
