@@ -8,19 +8,22 @@ outer ports.  A term whose support mentions a type with an empty domain
 evaluates to the empty relation outright.
 
 The evaluator flattens a nested term first, then builds a join plan once per
-call: cells in order of ascending relation size, each cell's tuples hashed by
-the positions whose dots earlier cells bind, so every step probes an index
-instead of scanning the relation.  The indexes are built once per model, per
-predicate and pattern, and kept on the model, so many queries on one model
-hash each relation only once per way they probe it.  The plan runs as a loop
-over an explicit stack, so neither the number of cells nor the nesting depth
-is bounded by the interpreter's recursion limit.  The loop stops one step
-early: each entry of the next-to-last step probes the last step's index once
-and adds all of that probe's rows to the answer in one set update, each row
-read by an ``operator.itemgetter`` worked out once per call, and the answer's
-size is checked against ``EVAL_MAX_ROWS`` after each such update.  A
-deliberately separate brute-force evaluator lives in :mod:`reglog.naive` and
-is used to cross-check this one; keep the two implementations independent.
+call that follows the wires: each next cell is one with the most dots that
+earlier cells bind, then the smallest relation, then the lowest slot, so the
+order in which cells are written never turns a connected join into a product.
+Each cell's tuples are hashed by the positions whose dots earlier cells bind,
+so every step probes an index instead of scanning the relation.  The indexes
+are built once per model, per predicate and pattern, and kept on the model,
+so many queries on one model hash each relation only once per way they probe
+it.  The plan runs as a loop over an explicit stack, so neither the number of
+cells nor the nesting depth is bounded by the interpreter's recursion limit.
+The loop stops one step early: each entry of the next-to-last step probes the
+last step's index once and adds all of that probe's rows to the answer in one
+set update, each row read by an ``operator.itemgetter`` worked out once per
+call, and the answer's size is checked against ``EVAL_MAX_ROWS`` after each
+such update.  A deliberately separate brute-force evaluator lives in
+:mod:`reglog.naive` and is used to cross-check this one; keep the two
+implementations independent.
 
 Models and relations are never changed after construction, and a model's
 index cache holds only data derived from its relations, so evaluation of many
@@ -33,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -235,64 +239,75 @@ def _row_getter(positions: list[int]) -> itemgetter:
 EVAL_MAX_ROWS = 2**20
 
 
-def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
-    """Evaluate a term against a model.
+def _plan(
+    term: GraphicalTerm, model: ModelInstance
+) -> tuple[list[int], list[tuple[dict, tuple[int, ...], tuple[int, ...]]]]:
+    """The join plan of a flat term whose support has no empty domain: the
+    slots in the order their cells are bound, and the steps, one per cell
+    in that order and then one per loose outer dot, each the index it
+    probes, the probe key read off the bound dots, and the dots it binds.
 
-    A nested term is flattened first, after its leaves are checked in the
-    order a level-by-level evaluation would meet them.  The plan binds cells
-    smallest relation first, ties by slot.  For each cell it works out which
-    positions meet dots bound by earlier cells (the probe key), which dots it
-    binds, and which positions repeat one of those; the cell's tuples are
-    hashed by the key positions once per model, and every cell with the same
-    predicate and pattern, in this call or a later one, reuses that index.
-    Each cell's shell is still checked on every call.  Loose dots that the
-    outer row reads come last, each as a step that holds its whole domain.
-    The plan then runs as a depth-first loop over an explicit stack of probe
-    results, down to the next-to-last step, under a root step that matches
-    once and binds nothing.  Each entry that step binds probes the last
-    step's index once and adds every row of the probe in one set update: an
-    out row is read off ``head + entry``, where ``head`` holds the out-row
-    atoms that earlier steps bound, by one getter worked out per call.  A
-    one-step plan is one such update on the empty key.
+    The next cell has the most distinct bound dots, then the smallest
+    relation, then the lowest slot: the plan takes the smallest relation
+    when no pending cell touches a bound dot, and otherwise follows the
+    wires.  A lazy heap holds those keys.  Binding a dot pushes a fresh key
+    for each unplanned cell that touches it, found by a dot -> cells index
+    kept for this call; a cell's stale keys sort after its fresh one, so
+    they are popped once it is planned and skipped.  Planning takes
+    O(p log p) time in the p ports.
 
-    The answer is bounded by ``EVAL_MAX_ROWS``; past it this raises
-    ``EvalError``.  A term without cells is its loose outer dots alone, so
-    it is refused before the loop.  Otherwise the loop counts the rows each
-    time the last step runs dry, that is after each bulk update, once per
-    probe, so the set passes the limit by at most one probe's entries, and a
-    term whose cells match nothing is never refused.
+    Each cell's tuples are hashed by its key positions once per model,
+    predicate and repeat pattern, and kept on the model; each cell's shell
+    is checked on every call.  A loose outer dot's step holds its whole
+    domain.  A term without cells is those dots alone, so past
+    ``EVAL_MAX_ROWS`` of them it is refused here.
     """
-    if not term.is_flat():
-        _check_leaves(term, model)
-        term = flatten(term)
     d = term.diagram
-    if any(not model.domain(s) for s in d.support):
-        return empty_relation(d.outer)
     rels = [
         _cell_relation(cell, shell, model)
         for cell, shell in zip(term.cells, d.inner)
     ]
+    # Cells go by their rank in the size/slot order below.  A cell's key is
+    # its rank less n for each of its distinct dots that is bound, so the
+    # least key is the best cell and the key mod n is its rank.
+    n = len(rels)
+    by_rank = sorted(range(n), key=lambda slot: len(rels[slot].tuples))
+    touching: list[list[int]] = [[] for _ in range(d.num_dots)]
+    for rank, slot in enumerate(by_rank):
+        for dot in set(d.wires[slot]):
+            touching[dot].append(rank)
+    heap = list(range(n))
+    hits = [0] * n
+    planned = [False] * n
     bound = [False] * d.num_dots
     indexes = model._indexes
-    # One step per cell, then one per loose outer dot: the index it probes,
-    # the probe key read off the bound dots, and the dots it binds.
+    order: list[int] = []
     steps: list[tuple[dict, tuple[int, ...], tuple[int, ...]]] = []
-    for slot in sorted(range(len(rels)), key=lambda i: len(rels[i])):
+    while heap:
+        rank = heappop(heap) % n
+        if planned[rank]:
+            continue
+        planned[rank] = True
+        slot = by_rank[rank]
+        order.append(slot)
         row = d.wires[slot]
         seen: dict[int, int] = {}
         first = [seen.setdefault(dot, p) for p, dot in enumerate(row)]
-        key_pos = tuple(p for dot, p in seen.items() if bound[dot])
-        new_pos = tuple(p for dot, p in seen.items() if not bound[dot])
+        key_pos = tuple([p for dot, p in seen.items() if bound[dot]])
+        new_pos = tuple([p for dot, p in seen.items() if not bound[dot]])
         shape = (term.cells[slot], tuple(first), key_pos)
         if shape not in indexes:
             indexes[shape] = _index(rels[slot].tuples, first, key_pos, new_pos)
-        new_dots = tuple(row[p] for p in new_pos)
-        steps.append((indexes[shape], tuple(row[p] for p in key_pos), new_dots))
+        new_dots = tuple([row[p] for p in new_pos])
+        steps.append((indexes[shape], tuple([row[p] for p in key_pos]), new_dots))
         for dot in new_dots:
             bound[dot] = True
-    out_row = d.wires[-1]
+            for other in touching[dot]:
+                if not planned[other]:
+                    hits[other] += 1
+                    heappush(heap, other - hits[other] * n)
     loose = 1
-    for dot in dict.fromkeys(out_row):
+    for dot in dict.fromkeys(d.wires[-1]):
         if not bound[dot]:
             pool = [(atom,) for atom in model.domain(d.dot_types[dot])]
             loose *= len(pool)
@@ -302,7 +317,37 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
             f"the term's loose outer dots alone give {loose} rows, over the "
             f"limit of EVAL_MAX_ROWS = {EVAL_MAX_ROWS} rows"
         )
+    return order, steps
 
+
+def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
+    """Evaluate a term against a model.
+
+    A nested term is flattened first, after its leaves are checked in the
+    order a level-by-level evaluation would meet them, and ``_plan`` builds
+    its join plan.  The plan runs as a depth-first loop over an explicit
+    stack of probe results, down to the next-to-last step, under a root
+    step that matches once and binds nothing.  Each entry that step binds
+    probes the last step's index once and adds every row of the probe in
+    one set update: an out row is read off ``head + entry``, where ``head``
+    holds the out-row atoms that earlier steps bound, by one getter worked
+    out per call.  A one-step plan is one such update on the empty key.
+
+    The answer is bounded by ``EVAL_MAX_ROWS``; past it this raises
+    ``EvalError``.  A term without cells is its loose outer dots alone, so
+    ``_plan`` refuses it before the loop.  Otherwise the loop counts the rows
+    each time the last step runs dry, that is after each bulk update, once
+    per probe, so the set passes the limit by at most one probe's entries,
+    and a term whose cells match nothing is never refused.
+    """
+    if not term.is_flat():
+        _check_leaves(term, model)
+        term = flatten(term)
+    d = term.diagram
+    if any(not model.domain(s) for s in d.support):
+        return empty_relation(d.outer)
+    out_row = d.wires[-1]
+    steps = _plan(term, model)[1]
     if not steps:
         return FinRelation(d.outer, frozenset({()}))
     last_index, last_key, last_new = steps.pop()

@@ -414,6 +414,22 @@ def rand_term(
     return GraphicalTerm(diagram, (sub, *names))
 
 
+def permute_slots(term: GraphicalTerm, perm: Iterable[int]) -> GraphicalTerm:
+    """The same term with its top-level cells listed in the order ``perm``
+    (slot ``k`` of the result is slot ``perm[k]`` of ``term``); dots are
+    renumbered by first occurrence, as in any normalized diagram."""
+    perm = tuple(perm)
+    d = term.diagram
+    diagram = mk_wiring(
+        [d.inner[i] for i in perm],
+        d.outer,
+        d.dot_types,
+        [*(d.wires[i] for i in perm), d.wires[-1]],
+        d.support,
+    )
+    return GraphicalTerm(diagram, tuple(term.cells[i] for i in perm))
+
+
 def rand_model(rng: Random, max_atoms=3, density=0.5) -> ModelInstance:
     domains = {
         t: tuple(f"{t}{i}" for i in range(rng.randrange(max_atoms + 1)))

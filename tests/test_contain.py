@@ -44,6 +44,8 @@ from helpers import (
     breaking_pair,
     contains_bruteforce,
     containment_sweep,
+    contains_oracle,
+    permute_slots,
     rand_containment_pair,
     rand_flat_term,
     rand_model,
@@ -141,6 +143,24 @@ class TestContains:
         # assignment enumerator, keeping the engine out of the loop entirely.
         checked, _ = containment_sweep(Random(503), 40, use_naive=True, max_dots=3)
         assert checked == 40
+
+    def test_slot_order_does_not_change_the_verdict(self):
+        # Both sides flattened and their cells listed in random orders, against
+        # the oracle on the written pair, evaluated by the exhaustive
+        # assignment enumerator.
+        rng = Random(505)
+        positives = 0
+        for _ in range(300):
+            left, right = rand_containment_pair(rng, max_cells=4)
+            holds = contains_oracle(left, right, use_naive=True)
+            positives += holds
+            for _ in range(3):
+                shuffled = [
+                    permute_slots(t, rng.sample(range(len(t.cells)), len(t.cells)))
+                    for t in (flatten(left), flatten(right))
+                ]
+                assert contains(*shuffled) == holds, (left, right)
+        assert 0 < positives < 300
 
     @given(st.integers(0, 10**9))
     def test_agreement_property(self, seed):

@@ -528,6 +528,13 @@ class TestCli:
         assert out.splitlines() == [f"{i}, {(i + 3) % 7}" for i in range(7)]
         assert run_cli(capsys, path, "contains", "main", "main") == (0, "holds\n", "")
 
+    def test_contains_does_not_depend_on_the_order_cells_are_written(self):
+        # A plan that ignored the wires took 106 s on ``contains written odd``.
+        ws = ROOT / "tests" / "workspaces" / "odd_slots_path14.rl"
+        for pair in (("written", "odd"), ("odd", "written")):
+            proc = run_module(ws, "contains", *pair, timeout=10)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"holds\n", b"")
+
     def test_axioms_and_fundamental(self, tmp_path, capsys):
         path = write_ws(tmp_path)
         code, out, _ = run_cli(capsys, path, "axioms", "--bound", "1", "--json")
