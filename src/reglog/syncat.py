@@ -32,10 +32,11 @@ with the same number of rows are isomorphic, and every law here is invariant
 under isomorphism (a pullback, equalizer or image is only defined up to one
 anyway), so every sweep runs on the skeleton: once per shape of object, pair,
 cospan, chain or cone apex, counted for every member.
-Negative bounds, and bounds under which the sweeps would pass one of the
-``AXIOMS_MAX_*`` limits (contexts, bits of masks, objects, relations,
-associativity triples, objects of the limit family), are refused before
-anything is built.
+The objects of a sweep are counted from the domain sizes, and only the first
+of each shape is built.  Negative bounds, and bounds under which the sweeps
+would pass one of the ``AXIOMS_MAX_*`` limits (contexts, bits of masks,
+relations, associativity triples, objects of the limit family), are refused
+before any sweep runs.
 
 Where a sweep reads only the masks of a composite, it composes the bare masks
 with ``_compose`` and orders them with ``_leq`` instead of building a relation
@@ -49,7 +50,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache, reduce
 from operator import eq, or_
@@ -416,11 +416,6 @@ def _subobjects(o: FinRelation) -> Iterator[FinRelation]:
             yield FinRelation(o.context, frozenset(subset))
 
 
-def subobjects(o: FinRelation) -> list[FinRelation]:
-    """All subobjects, in the order of ``_subobjects``; 2^|rows| of them."""
-    return list(_subobjects(o))
-
-
 # ---------------------------------------------------------------------------
 # bounded law suite
 # ---------------------------------------------------------------------------
@@ -514,25 +509,58 @@ def contexts_up_to(types: Iterable[str], max_arity: int) -> list[Context]:
     return out
 
 
-def _objects_for(
+def _hom_shape(o: FinRelation) -> tuple[int, int, bool]:
+    """What the hom sweep reads of an object: arity, rows, no extra support."""
+    return o.context.arity, len(o), not o.context.extra_support()
+
+
+def _object_classes(
     model: ModelInstance, max_arity: int, cap: int
-) -> list[FinRelation]:
-    """Every subobject of each full object with at most ``cap`` rows; four
-    samples (empty, full, one row, the first half) of each larger one."""
-    objs = []
-    for c in contexts_up_to(model.domains.keys(), max_arity):
-        full = true_rel(c, model)
-        rows = full.sorted_rows
-        if len(rows) <= cap:
-            objs.extend(subobjects(full))
-        else:
-            samples = [(), rows, rows[:1], rows[: len(rows) // 2]]
-            objs.extend(FinRelation(c, frozenset(sample)) for sample in samples)
+) -> dict[tuple[int, int, bool], list]:
+    """The objects of the per-object and hom sweeps by ``_hom_shape``: the
+    first object of each shape and how many objects have it, in the order
+    in which the shapes first appear.
+
+    The objects, in order, are every subobject of each full relation of at
+    most ``cap`` rows, four samples (empty, full, one row, the first half)
+    of each larger one, counted even where two samples coincide, then each
+    model relation that equals none of them.  They are counted from the
+    domain sizes, and only the first object of a shape is built: the first
+    ``k`` sorted rows of the first context with a subobject of ``k`` rows.
+    """
+    size = {t: len(d) for t, d in model.domains.items()}
+
+    def rows_of(c: Context) -> int:
+        # the rows of the full relation, none if a supported type is empty
+        if not all(size.get(t) for t in c.support):
+            return 0
+        return math.prod(size[t] for t in c.port_types)
+
+    contexts = contexts_up_to(size, max_arity)
+    classes: dict[tuple[int, int, bool], list] = {}
+    for c in contexts:
+        n = rows_of(c)
+        plain = not c.extra_support()
+        for k in range(n + 1) if n <= cap else (0, n, 1, n // 2):
+            shape = (c.arity, k, plain)
+            if shape not in classes:
+                rows = true_rel(c, model).sorted_rows
+                classes[shape] = [FinRelation(c, frozenset(rows[:k])), 0]
+            classes[shape][1] += math.comb(n, k) if n <= cap else 1
+    listed = set(contexts)
+    appended: list[FinRelation] = []
     for name in sorted(model.relations):
         rel = model.relations[name]
-        if rel not in objs and rel.context.arity <= max_arity:
-            objs.append(rel)
-    return objs
+        c = rel.context
+        if c.arity > max_arity or rel in appended:
+            continue
+        if c in listed:
+            n, rows = rows_of(c), true_rel(c, model).sorted_rows
+            if n <= cap or rel.sorted_rows in {rows[:k] for k in (0, n, 1, n // 2)}:
+                continue
+        appended.append(rel)
+        classes.setdefault(_hom_shape(rel), [rel, 0])[1] += 1
+    return classes
 
 
 def _limit_family(model: ModelInstance, bounds: AxiomBounds) -> list[FinRelation]:
@@ -679,11 +707,6 @@ def _object_laws(o: FinRelation) -> list[CheckResult]:
     return [frob, adjm]
 
 
-def _object_law_checks(objs: list[FinRelation]) -> list[CheckResult]:
-    classes = ((n, (o,), k) for n, (o, k) in _buckets(objs, len).items())
-    return _on_skeleton(_OBJECT_LAWS, classes, _object_laws)
-
-
 def _terminal_laws(o: FinRelation) -> list[CheckResult]:
     res, sub = _fresh(_TERMINAL_LAWS)
     point = terminal_syn()
@@ -693,12 +716,6 @@ def _terminal_laws(o: FinRelation) -> list[CheckResult]:
     if not sub.count(sum(1 for _ in _subobjects(o)) == 2 ** len(o)):
         sub.fail(f"object {o}")
     return [res, sub]
-
-
-def _terminal_checks(objs: list[FinRelation], cap: int) -> list[CheckResult]:
-    small = (o for o in objs if len(o) <= cap)
-    classes = ((n, (o,), k) for n, (o, k) in _buckets(small, len).items())
-    return _on_skeleton(_TERMINAL_LAWS, classes, _terminal_laws)
 
 
 def _hom_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
@@ -766,26 +783,19 @@ def _adjoint_laws(o1: FinRelation, o2: FinRelation) -> list[CheckResult]:
     return [adjoint]
 
 
-def _hom_shape(o: FinRelation) -> tuple[int, int, bool]:
-    """What the hom sweep reads of an object: arity, rows, no extra support."""
-    return o.context.arity, len(o), not o.context.extra_support()
-
-
-def _hom_sweep_checks(
-    objs: list[FinRelation], bounds: AxiomBounds
-) -> list[CheckResult]:
-    """The hom laws once per ``(rows, rows)`` over every admitted pair, then
-    the adjoint search once per ``(rows, rows)`` over the plain pairs."""
-    small = (o for o in objs if o.context.arity <= bounds.hom_arity)
-    buckets = _buckets(small, _hom_shape).items()
-    classes = [
+def _hom_sweep_checks(classes: dict, bounds: AxiomBounds) -> list[CheckResult]:
+    """The hom laws once per ``(rows, rows)`` over every admitted pair of the
+    object classes, then the adjoint search once per ``(rows, rows)`` over
+    the plain pairs."""
+    items = classes.items()
+    pairs = [
         (p1 and p2, ((r1, r2), (o1, o2), n1 * n2))
-        for (a1, r1, p1), (o1, n1) in buckets
-        for (a2, r2, p2), (o2, n2) in buckets
+        for (a1, r1, p1), (o1, n1) in items
+        for (a2, r2, p2), (o2, n2) in items
         if a1 + a2 <= bounds.hom_arity and r1 * r2 <= bounds.max_tuple_space
     ]
-    hom = _on_skeleton(_HOM_LAWS, (c for _, c in classes), _hom_laws)
-    plain = (c for both, c in classes if both)
+    hom = _on_skeleton(_HOM_LAWS, (c for _, c in pairs), _hom_laws)
+    plain = (c for both, c in pairs if both)
     return hom + _on_skeleton(_ADJOINT_LAWS, plain, _adjoint_laws)
 
 
@@ -1042,31 +1052,30 @@ def _image_checks(family: list[FinRelation]) -> list[CheckResult]:
     return [img, ortho]
 
 
-# The family of a context holds at most 2^max_tuple_space objects; the
-# 14,336 contexts of nine two-atom types at arity 2 took 87 MB to build.  For
-# an object of r rows, o (+) o (+) o carries r^2 masks of r^3 bits, and the
-# peak follows those r^5 bits: 84 rows, the most allowed, peaked at 566 MB
-# (one type at arity 1), 81 rows at 515 MB and 49 rows at 100 MB.
+# Measured on a 2-vCPU host.  The contexts are listed, though of their
+# objects only the first of each shape is built: the 14,336 contexts of nine
+# two-atom types at arity 2 and their 194,560 objects, in 20 shapes, take
+# 0.14-0.16 s for the whole suite at the default bounds, with a traced peak of
+# 2.7 MiB.  For an object of r rows, o (+) o (+) o carries r^2 masks of r^3
+# bits, and the peak follows those r^5 bits: 84 rows, the most allowed,
+# peaked at 566 MB (one type at arity 1), 81 rows at 515 MB and 49 rows at
+# 100 MB.
 AXIOMS_MAX_CONTEXTS = 16_384
 AXIOMS_MAX_MASK_BITS = 2**32
 
 
-# Measured on a 2-vCPU host.  Objects: nine two-atom types at the default
-# bounds build 194,560 (peak 89 MB, 1.0-1.9 s for the whole suite, about
-# 0.9 s of it building them), and 131,152 objects of up to 16 rows peaked at
-# 178 MB.  Relations: the hom sweep takes about 2 us per relation or
-# candidate adjoint counted below (272,171, most of them the adjoints of
-# 3 x 3 rows, in 0.5 s), and the terminal sweep about 20 us per relation
-# and subobject it counts, one at a time (131,088 in 2.8 s).  Associativity
-# counts the triples of every chain but decides each shape of chain once, a
-# row of c at a time: two types of two rows, 65,536 triples in one shape of
-# 4,096, take 1 ms; one chain of three-row objects, 2^27 triples, took
-# 105 s.  The limit sweeps decide each shape of cospan, parallel pair or pair
-# of objects once, and each cone apex once per row count: the three of them
-# take 3.6 ms on 16 objects, half of them of two rows (six two-atom types),
-# and 0.8 ms on one-atom types.  So these two limits now over-count the work
-# and only refuse early.
-AXIOMS_MAX_OBJECTS = 2**18
+# Relations: the hom sweep takes about 2 us per relation or candidate
+# adjoint counted below (272,171, most of them the adjoints of 3 x 3 rows, in
+# 0.5 s), and the terminal sweep about 6 us per relation and subobject it
+# counts, one at a time (262,142, for objects of up to 16 rows, in 1.5 s).
+# Associativity counts the triples of every chain but decides each shape of
+# chain once, a row of c at a time: two types of two rows, 65,536 triples in
+# one shape of 4,096, take 1 ms; one chain of three-row objects, 2^27
+# triples, took 105 s.  The limit sweeps decide each shape of cospan,
+# parallel pair or pair of objects once, and each cone apex once per row
+# count: the three of them take 3.6 ms on 16 objects, half of them of two
+# rows (six two-atom types), and 0.8 ms on one-atom types.  So these two
+# limits now over-count the work and only refuse early.
 AXIOMS_MAX_RELATIONS = 2**19
 AXIOMS_MAX_ASSOC_TRIPLES = 2**20
 AXIOMS_MAX_LIMIT_OBJECTS = 16
@@ -1111,51 +1120,26 @@ def _refuse_large_bounds(model: ModelInstance, arity: int) -> None:
         )
 
 
-def _counted_shapes(
-    model: ModelInstance, max_arity: int, cap: int
-) -> Counter[tuple[int, int, bool]]:
-    """How many objects of each ``_hom_shape`` ``_objects_for`` builds,
-    counted from the domain sizes; a model relation counts even where it
-    equals another object."""
-    shapes: Counter[tuple[int, int, bool]] = Counter()
-    for arity, plain, rows, contexts in _context_classes(model, max_arity):
-        if not contexts:
-            continue
-        if rows <= cap:
-            for k in range(rows + 1):
-                shapes[arity, k, plain] += contexts * math.comb(rows, k)
-        else:
-            for k in (0, rows, 1, rows // 2):
-                shapes[arity, k, plain] += contexts
-    for rel in model.relations.values():
-        if rel.context.arity <= max_arity:
-            shapes[_hom_shape(rel)] += 1
-    return shapes
-
-
-def _refuse_long_sweeps(model: ModelInstance, bounds: AxiomBounds) -> None:
+def _refuse_long_sweeps(
+    model: ModelInstance, bounds: AxiomBounds, classes: dict
+) -> None:
     """Raise before the work that grows with ``max_tuple_space`` or
-    ``limit_objects`` passes the limits above, counted from the domain sizes.
+    ``limit_objects`` passes the limits above; the object ``classes`` of
+    ``_object_classes`` say which shapes the per-shape sweeps meet, and the
+    rest is counted from the domain sizes.
 
     The relations are those the per-shape sweeps enumerate, with each
     candidate adjoint the hom sweep tries and each subobject the terminal
     sweep lists.
     """
     cap = bounds.max_tuple_space
-    shapes = _counted_shapes(model, bounds.max_arity, cap)
-    objects = sum(shapes.values())
-    if objects > AXIOMS_MAX_OBJECTS:
-        raise ReglogError(
-            f"axioms at max_tuple_space {cap} builds {objects} objects, over "
-            f"the limit of {AXIOMS_MAX_OBJECTS} objects"
-        )
     homs = {
         (r1, r2, p1 and p2)
-        for a1, r1, p1 in shapes
-        for a2, r2, p2 in shapes
+        for a1, r1, p1 in classes
+        for a2, r2, p2 in classes
         if a1 + a2 <= bounds.hom_arity and r1 * r2 <= cap
     }
-    spaces = {rows for _, rows, _ in shapes if rows <= cap}
+    spaces = {rows for _, rows, _ in classes if rows <= cap}
     relations = sum(2 ** (n + 1) for n in spaces)
     relations += sum(
         2 ** (r1 * r2) * (1 + 2 ** (r1 * r2) if plain else 1) for r1, r2, plain in homs
@@ -1210,25 +1194,28 @@ def check_regular_axioms(
     Each check's ``seconds`` is the wall time of the sweep that computed it;
     checks computed in one sweep share that sweep's time.  The pullback,
     equalizer and image sweeps are timed apart.  Raises
-    ``ReglogError``, before building anything, when a bound is negative
-    (most sweeps would then try no case and pass unearned), when
-    ``max_arity`` is too large for the model (see ``_refuse_large_bounds``),
-    or when ``max_tuple_space`` or ``limit_objects`` would make a sweep too
-    long (see ``_refuse_long_sweeps``).
+    ``ReglogError`` when a bound is negative (most sweeps would then try no
+    case and pass unearned) or when ``max_arity`` is too large for the model
+    (see ``_refuse_large_bounds``), both before building anything, and when
+    ``max_tuple_space`` or ``limit_objects`` would make a sweep too long (see
+    ``_refuse_long_sweeps``), before any sweep runs.
     """
     bounds = bounds or AxiomBounds()
     negative = [name for name, value in asdict(bounds).items() if value < 0]
     if negative:
         raise ReglogError(f"axiom bounds must not be negative: {', '.join(negative)}")
     _refuse_large_bounds(model, bounds.max_arity)
-    _refuse_long_sweeps(model, bounds)
-    objs = _objects_for(model, bounds.max_arity, bounds.max_tuple_space)
+    cap = bounds.max_tuple_space
+    classes = _object_classes(model, bounds.max_arity, cap)
+    _refuse_long_sweeps(model, bounds, classes)
     family = _limit_family(model, bounds)
+    objects = [(len(o), (o,), members) for o, members in classes.values()]
+    small = [c for c in objects if c[0] <= cap]
     report = AxiomReport(bounds)
     for sweep, args in (
-        (_object_law_checks, (objs,)),
-        (_terminal_checks, (objs, bounds.max_tuple_space)),
-        (_hom_sweep_checks, (objs, bounds)),
+        (_on_skeleton, (_OBJECT_LAWS, objects, _object_laws)),
+        (_on_skeleton, (_TERMINAL_LAWS, small, _terminal_laws)),
+        (_hom_sweep_checks, (classes, bounds)),
         (_assoc_check, (model, bounds)),
         (_pullback_checks, (family,)),
         (_equalizer_checks, (family,)),

@@ -696,7 +696,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "limit",
         [
-            "AXIOMS_MAX_OBJECTS",
             "AXIOMS_MAX_RELATIONS",
             "AXIOMS_MAX_ASSOC_TRIPLES",
             "AXIOMS_MAX_LIMIT_OBJECTS",
