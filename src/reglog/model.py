@@ -17,13 +17,20 @@ are built once per model, per predicate and pattern, and kept on the model,
 so many queries on one model hash each relation only once per way they probe
 it.  The plan runs as a loop over an explicit stack, so neither the number of
 cells nor the nesting depth is bounded by the interpreter's recursion limit.
-The loop stops one step early: each entry of the next-to-last step probes the
-last step's index once and adds all of that probe's rows to the answer in one
-set update, each row read by an ``operator.itemgetter`` worked out once per
-call, and the answer's size is checked against ``EVAL_MAX_ROWS`` after each
-such update.  A deliberately separate brute-force evaluator lives in
-:mod:`reglog.naive` and is used to cross-check this one; keep the two
-implementations independent.
+The atoms bound along the way form a frame, a short tuple: each step extends
+its parent's frame with the entry it binds, and ``operator.itemgetter``
+getters laid out once per call read each probe key and each out row off a
+frame.  A dot whose last cell is planned is dead: no later probe reads it.
+Dead dots leave the frame in batches, and the atoms of those the out row
+reads go into a list kept for the call, which heads the out rows.  So a
+frame holds the dots still to be probed and fewer dead ones than the larger
+of ``DROP_BATCH`` and that count, and a long plan stays linear in its length
+for a given width.  The loop stops one step early: each entry of the
+next-to-last step probes the last step's index once and adds all of that
+probe's rows to the answer in one set update, and the answer's size is
+checked against ``EVAL_MAX_ROWS`` after each such update.  A deliberately
+separate brute-force evaluator lives in :mod:`reglog.naive` and is used to
+cross-check this one; keep the two implementations independent.
 
 Models and relations are never changed after construction, and a model's
 index cache holds only data derived from its relations, so evaluation of many
@@ -143,10 +150,11 @@ def mk_model(
         else:
             relations[name] = mk_relation(shell, rows.get(name, ()))
     model = ModelInstance({t: tuple(atoms) for t, atoms in domains.items()}, relations)
+    members = {t: set(atoms) for t, atoms in model.domains.items()}
     for name, rel in relations.items():
         for row in rel.tuples:
             for atom, t in zip(row, rel.context.port_types):
-                if atom not in model.domain(t):
+                if atom not in members.get(t, ()):
                     raise ValidationError(
                         f"relation {name} holds atom {atom!r} outside the "
                         f"domain of {t}"
@@ -217,19 +225,22 @@ def _index(
     return index
 
 
-# The step the depth-first loop starts from: it matches once and binds nothing,
-# so a one-step plan is one bulk update on the empty key.
-_ROOT: tuple[dict, tuple[int, ...], tuple[int, ...]] = ({(): ((),)}, (), ())
-
-
-def _row_getter(positions: list[int]) -> itemgetter:
+def _row_getter(positions: list[int], made: dict) -> itemgetter:
     """Read the atoms at ``positions`` off a tuple, always as a tuple: a
-    slice for none or one, where ``itemgetter`` would return a bare atom."""
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    if not positions:
-        return itemgetter(slice(0))
-    return itemgetter(*positions)
+    slice for none or one, where ``itemgetter`` would return a bare atom.
+    ``made`` keeps the getters already built, by positions, so one call
+    builds each distinct getter once."""
+    key = tuple(positions)
+    getter = made.get(key)
+    if getter is None:
+        if len(key) == 1:
+            getter = itemgetter(slice(key[0], key[0] + 1))
+        elif not key:
+            getter = itemgetter(slice(0))
+        else:
+            getter = itemgetter(*key)
+        made[key] = getter
+    return getter
 
 
 # A result row of four atoms takes about 180 bytes while the set of rows and
@@ -238,14 +249,26 @@ def _row_getter(positions: list[int]) -> itemgetter:
 # (6.3 s), on a 2-vCPU host.
 EVAL_MAX_ROWS = 2**20
 
+# Dead dots stay in the frame until at least this many, and at least as many
+# as the live ones, have gathered; then they all leave it at once.  A dot
+# left in costs the copy of one reference per frame, a batch that leaves
+# costs a getter call per frame, so frames of short plans keep their dead
+# dots; frames that kept them all would be quadratic in a long plan's length,
+# and frames that dropped them one by one would be quadratic in its width.
+DROP_BATCH = 32
 
-def _plan(
-    term: GraphicalTerm, model: ModelInstance
-) -> tuple[list[int], list[tuple[dict, tuple[int, ...], tuple[int, ...]]]]:
+
+# A plan step: the index it probes, the dots its probe key reads, the dots it
+# binds, and the dots it finds dead.
+Step = tuple[dict, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _plan(term: GraphicalTerm, model: ModelInstance) -> tuple[list[int], list[Step]]:
     """The join plan of a flat term whose support has no empty domain: the
     slots in the order their cells are bound, and the steps, one per cell
     in that order and then one per loose outer dot, each the index it
-    probes, the probe key read off the bound dots, and the dots it binds.
+    probes, the probe key read off the bound dots, the dots it binds, and
+    the dots it finds dead.
 
     The next cell has the most distinct bound dots, then the smallest
     relation, then the lowest slot: the plan takes the smallest relation
@@ -255,6 +278,12 @@ def _plan(
     kept for this call; a cell's stale keys sort after its fresh one, so
     they are popped once it is planned and skipped.  Planning takes
     O(p log p) time in the p ports.
+
+    The same index counts, for each dot, the cells still to plan that touch
+    it.  Once the last of them is planned, no later probe reads the dot: a
+    dot bound earlier is dead at that step, a dot that step binds at the
+    next step.  Outer dots die too; ``eval_term`` keeps their atoms for the
+    out row.
 
     Each cell's tuples are hashed by its key positions once per model,
     predicate and repeat pattern, and kept on the model; each cell's shell
@@ -280,9 +309,12 @@ def _plan(
     hits = [0] * n
     planned = [False] * n
     bound = [False] * d.num_dots
+    # unplanned[dot]: the cells still to plan that touch the dot
+    unplanned = [len(cells) for cells in touching]
     indexes = model._indexes
     order: list[int] = []
-    steps: list[tuple[dict, tuple[int, ...], tuple[int, ...]]] = []
+    steps: list[Step] = []
+    done: list[int] = []  # dots the last step bound that no later cell reads
     while heap:
         rank = heappop(heap) % n
         if planned[rank]:
@@ -299,7 +331,14 @@ def _plan(
         if shape not in indexes:
             indexes[shape] = _index(rels[slot].tuples, first, key_pos, new_pos)
         new_dots = tuple([row[p] for p in new_pos])
-        steps.append((indexes[shape], tuple([row[p] for p in key_pos]), new_dots))
+        drop, done = done, []
+        for dot in seen:
+            unplanned[dot] -= 1
+            if not unplanned[dot]:
+                (drop if bound[dot] else done).append(dot)
+        steps.append(
+            (indexes[shape], tuple([row[p] for p in key_pos]), new_dots, tuple(drop))
+        )
         for dot in new_dots:
             bound[dot] = True
             for other in touching[dot]:
@@ -311,7 +350,8 @@ def _plan(
         if not bound[dot]:
             pool = [(atom,) for atom in model.domain(d.dot_types[dot])]
             loose *= len(pool)
-            steps.append(({(): pool}, (), (dot,)))
+            steps.append(({(): pool}, (), (dot,), tuple(done)))
+            done = []
     if loose > EVAL_MAX_ROWS and not rels:
         raise EvalError(
             f"the term's loose outer dots alone give {loose} rows, over the "
@@ -327,11 +367,22 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
     order a level-by-level evaluation would meet them, and ``_plan`` builds
     its join plan.  The plan runs as a depth-first loop over an explicit
     stack of probe results, down to the next-to-last step, under a root
-    step that matches once and binds nothing.  Each entry that step binds
-    probes the last step's index once and adds every row of the probe in
-    one set update: an out row is read off ``head + entry``, where ``head``
-    holds the out-row atoms that earlier steps bound, by one getter worked
-    out per call.  A one-step plan is one such update on the empty key.
+    step that matches once and binds nothing.  The atoms bound so far form
+    a frame, a tuple laid out once per call: each step extends its parent's
+    frame as ``frame + entry``, after a getter has read the step's probe
+    key off the parent frame.  Dead dots stay in the frame until at least
+    ``DROP_BATCH`` of them, and at least as many as the live ones, have
+    gathered; the step at which they do keeps the rest of the frame by one
+    more getter, after writing the atoms of the dead out-row dots into
+    ``head``, a list kept for the call with one place per such dot.  The
+    depth-first order rewrites each place before the last step reads it.
+    So each batch costs about as much as the dots it drops, and a long
+    plan stays linear in its length whatever its out row reads; dots that
+    die at the last step never leave.  Each entry that
+    the next-to-last step binds probes the last step's index once and adds
+    every row of the probe in one set update, each out row read off
+    ``head + frame + row`` by one more getter.  A one-step plan is one such
+    update on the empty key.
 
     The answer is bounded by ``EVAL_MAX_ROWS``; past it this raises
     ``EvalError``.  A term without cells is its loose outer dots alone, so
@@ -346,36 +397,66 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
     d = term.diagram
     if any(not model.domain(s) for s in d.support):
         return empty_relation(d.outer)
-    out_row = d.wires[-1]
     steps = _plan(term, model)[1]
     if not steps:
         return FinRelation(d.outer, frozenset({()}))
-    last_index, last_key, last_new = steps.pop()
-    # An out row is read off the out-row atoms that earlier steps bound
-    # (the head) followed by an entry of the last step.
-    head_dots = tuple(dict.fromkeys(i for i in out_row if i not in last_new))
-    where = {dot: p for p, dot in enumerate(head_dots + last_new)}
-    row_of = _row_getter([where[dot] for dot in out_row])
-    # Steps 0..inner run depth-first under the root; the last one in bulk.
-    steps.insert(0, _ROOT)
-    value: list[str | None] = [None] * d.num_dots
+    last_index, last_key, last_new, _ = steps.pop()
+    # Lay out the frames.  Each step becomes, in place, its index, the
+    # getters of its probe key and of the frame it keeps (None: all of it),
+    # and, where dead out-row dots leave, the slice of the head they go to
+    # and the getter that reads them (None: none leave).
+    # Step 0 is the root: it matches once and binds nothing, so a one-step
+    # plan is one bulk update on the empty key.
+    out_row = d.wires[-1]
+    outer = set(out_row)
+    made: dict[tuple[int, ...], itemgetter] = {}
+    layout: list[int] = []  # the dots of the frame, in order
+    place: dict[int, int] = {}  # each dot's place in the frame
+    head_dots: list[int] = []  # the out-row dots that left, in order
+    waiting: list[int] = []  # the dead dots still in the frame
+    for k, (index, key, new, drop) in enumerate(steps):
+        key_of = _row_getter([place[dot] for dot in key], made)
+        keep = move = None
+        waiting += drop
+        if len(waiting) >= max(DROP_BATCH, len(layout) - len(waiting)):
+            moved = [dot for dot in waiting if dot in outer]
+            if moved:
+                at = slice(len(head_dots), len(head_dots) + len(moved))
+                move = (at, _row_getter([place[dot] for dot in moved], made))
+                head_dots += moved
+            gone = set(waiting)
+            layout = [dot for dot in layout if dot not in gone]
+            keep = _row_getter([place[dot] for dot in layout], made)
+            place = {dot: p for p, dot in enumerate(layout)}
+            waiting = []
+        steps[k] = (index, key_of, keep, move)
+        for dot in new:
+            place[dot] = len(layout)
+            layout.append(dot)
+    steps.insert(0, None)
+    last_key_of = _row_getter([place[dot] for dot in last_key], made)
+    where = {dot: p for p, dot in enumerate(head_dots + layout + list(last_new))}
+    row_of = _row_getter([where[dot] for dot in out_row], made)
+    head: list[str] = [""] * len(head_dots)
     results: set[tuple[str, ...]] = set()
     inner = len(steps) - 1
-    # its[k] iterates the entries step k may bind under steps 0..k-1.
+    # its[k] iterates the entries step k may bind under steps 0..k-1, and
+    # bases[k] is the frame they extend.
     its = [iter(())] * len(steps)
-    its[0] = iter(steps[0][0].get((), ()))
+    bases: list[tuple[str, ...]] = [()] * len(steps)
+    its[0] = iter(((),))
     k = 0
     while k >= 0:
-        new_dots = steps[k][2]
+        base = bases[k]
         for entry in its[k]:
-            for dot, atom in zip(new_dots, entry):
-                value[dot] = atom
+            frame = base + entry
             if k == inner:
-                rows = last_index.get(tuple([value[i] for i in last_key]))
+                rows = last_index.get(last_key_of(frame))
                 if rows is None:
                     continue
-                head = tuple([value[i] for i in head_dots])
-                results.update(map(row_of, map(head.__add__, rows)))
+                if head:
+                    frame = tuple(head) + frame
+                results.update(map(row_of, map(frame.__add__, rows)))
                 if len(results) > EVAL_MAX_ROWS:
                     raise EvalError(
                         "the term's value has more than the limit of "
@@ -383,8 +464,14 @@ def eval_term(term: GraphicalTerm, model: ModelInstance) -> FinRelation:
                     )
             else:
                 k += 1
-                index, key, _ = steps[k]
-                its[k] = iter(index.get(tuple([value[i] for i in key]), ()))
+                index, key_of, keep, move = steps[k]
+                its[k] = iter(index.get(key_of(frame), ()))
+                if keep is None:
+                    bases[k] = frame
+                else:
+                    if move is not None:
+                        head[move[0]] = move[1](frame)
+                    bases[k] = keep(frame)
                 break
         else:
             k -= 1

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import importlib.util
 import itertools
+import os
 import signal
+import tracemalloc
 from collections import Counter
 from random import Random
 
@@ -24,9 +27,11 @@ from hypothesis import given, strategies as st
 import reglog.model as model_mod
 from reglog.contain import contains
 from reglog.context import identity_cm, mk_context, mk_morphism, oplus, pullback_cm
+from reglog.dsl import parse_workspace
 from reglog.errors import EvalError, ValidationError
 from reglog.model import (
     _plan,
+    DROP_BATCH,
     FinRelation,
     ModelInstance,
     empty_relation,
@@ -71,6 +76,16 @@ def path_term(length: int) -> GraphicalTerm:
     return GraphicalTerm(w, tuple("E" for _ in range(length)))
 
 
+def perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's seeded input generators."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
 class TestModelConstruction:
     def test_rows_must_fit_domains(self):
         with pytest.raises(ValidationError):
@@ -110,6 +125,20 @@ class TestModelConstruction:
         rel = FinRelation(mk_context(("x",)), frozenset({("a", "a")}))
         with pytest.raises(ValidationError):
             mk_model({"x": ("a",)}, {"U": rel})
+
+    def test_a_large_workspace_builds_its_model_in_linear_time(self):
+        # The benchmark's digraph workspace with 16,000 atoms and four edges
+        # out of each: mk_model checks its 64,000 rows against one set per
+        # domain in 0.1 s on a 2-vCPU host, where a scan of the domain's
+        # tuple for each atom took 11.6 s.
+        gen = perfbench_gen()
+        atoms = 16_000
+        edges = gen.random_digraph(Random(413), atoms, 4)
+        workspace = parse_workspace(gen.graph_workspace_text(atoms, edges))
+        with time_limit(2):
+            model = workspace.model()
+        assert len(model.domain("x")) == atoms
+        assert len(model.relation("E")) == 4 * atoms
 
     def test_results_are_valid_by_construction(self):
         # The operations build relations without the arity check of
@@ -435,7 +464,7 @@ def plan_features(term: GraphicalTerm, model: ModelInstance) -> set[str]:
     rows, out = d.wires[:-1], d.wires[-1]
     sizes = [len(model.relation(c)) for c in flat.cells]
     order, steps = _plan(flat, model)
-    keys = [key for _, key, _ in steps[: len(order)]]
+    keys = [key for _, key, *_ in steps[: len(order)]]
     touched = {dot for row in rows for dot in row}
     cases = {
         "nested": not term.is_flat(),
@@ -456,8 +485,19 @@ def plan_features(term: GraphicalTerm, model: ModelInstance) -> set[str]:
         "last step binds no outer dot": bool(rows)
         and not set(steps[-1][2]) & set(out),
         "loose last step after a cell": bool(rows) and len(steps) > len(order),
+        # dots that die at the last step never leave the frame; earlier ones
+        # leave in batches (see test_frame_layouts_agree_with_naive)
+        "a dot dies before the last step": any(dead for *_, dead in steps[:-1]),
     }
     return {case for case, hit in cases.items() if hit}
+
+
+def with_out_row(term: GraphicalTerm, out: list[int]) -> GraphicalTerm:
+    """The flat ``term`` with the out row ``out``, a list of its dots."""
+    d = term.diagram
+    outer = mk_context([d.dot_types[dot] for dot in out], d.outer.support)
+    diagram = mk_wiring(d.inner, outer, d.dot_types, [*d.wires[:-1], out], d.support)
+    return GraphicalTerm(diagram, term.cells)
 
 
 def join_plan_cases(count: int = 600):
@@ -484,7 +524,7 @@ class TestJoinPlan:
         for term, model in join_plan_cases():
             assert eval_term(term, model) == eval_term_naive(term, model)
             reached.update(plan_features(term, model))
-        assert len(reached) == 16 and min(reached.values()) >= 10, reached
+        assert len(reached) == 17 and min(reached.values()) >= 10, reached
 
     def test_nested_errors_match_level_by_level_evaluation(self):
         # (id-with-white-y(P), Q) with y empty and Q missing: the nested cell
@@ -535,6 +575,145 @@ class TestJoinPlan:
         assert value.tuples == {(atoms[i], atoms[(i + k) % n]) for i in range(n)}
         assert holds
 
+    def test_a_long_path_stays_linear(self):
+        # A path of k = 20,003 cells on the directed 5-cycle.  Its frames
+        # hold the dot the next cell probes, the two outer dots and fewer
+        # than DROP_BATCH dead ones, so the value takes 0.2-0.4 s on a
+        # 2-vCPU host; a frame that kept every dot it ever bound is
+        # quadratic in the plan's depth, and took 3-8 s there.
+        n, k = 5, 20_003
+        atoms = tuple(str(i) for i in range(n))
+        edges = [(atoms[i], atoms[(i + 1) % n]) for i in range(n)]
+        model = mk_model({"x": atoms}, {"E": mk_context(("x", "x"))}, {"E": edges})
+        path = path_term(k)
+        with time_limit(1.5):
+            value = eval_term(path, model)
+        assert value.tuples == {(atoms[i], atoms[(i + k) % n]) for i in range(n)}
+
+    def test_a_long_path_with_every_dot_exposed_stays_linear(self):
+        # The out row reads all 20,004 dots of the path on the directed
+        # 5-cycle, so the frames move them into the head a batch at a time;
+        # 0.25-0.45 s on a 2-vCPU host.  Frames that kept every out-row dot
+        # are quadratic in the plan's depth: 0.67 s at 5,003 cells there.
+        n, k = 5, 20_003
+        atoms = tuple(str(i) for i in range(n))
+        edges = [(atoms[i], atoms[(i + 1) % n]) for i in range(n)]
+        model = mk_model({"x": atoms}, {"E": mk_context(("x", "x"))}, {"E": edges})
+        path = with_out_row(path_term(k), list(range(k + 1)))
+        with time_limit(2):
+            value = eval_term(path, model)
+        assert value.tuples == {
+            tuple(atoms[(i + j) % n] for j in range(k + 1)) for i in range(n)
+        }
+
+    def test_wide_cells_stay_linear(self):
+        # One cell binds 5,000 dots, and 5,000 one-port cells each probe
+        # one of them, so a dot dies at every step.  Batches drop them in
+        # 0.03 s on a 2-vCPU host; dropping each at its own step copies the
+        # whole frame each time, 1.6 s there (and out of memory at 20,000).
+        w = 5000
+        x, xw = mk_context(("x",)), mk_context(("x",) * w)
+        model = mk_model(
+            {"x": ("a",)}, {"P": xw, "U": x}, {"P": [("a",) * w], "U": [("a",)]}
+        )
+        rows = [tuple(range(w)), *((i,) for i in range(w))]
+        diagram = mk_wiring(
+            [xw, *[x] * w], mk_context(("x", "x")), ("x",) * w, (*rows, (0, w - 1))
+        )
+        with time_limit(1):
+            value = eval_term(GraphicalTerm(diagram, ("P", *["U"] * w)), model)
+        assert value.tuples == {("a", "a")}
+        # Two 40,000-port cells on the same dots: all of them die at the
+        # second step, and the plan lists them in 0.12 s there; one tuple
+        # grown by a dot at a time took 2.2 s.
+        w = 40_000
+        xw = mk_context(("x",) * w)
+        model = mk_model({"x": ("a",)}, {"P": xw}, {"P": [("a",) * w]})
+        rows = [tuple(range(w)), tuple(reversed(range(w)))]
+        diagram = mk_wiring([xw, xw], mk_context(()), ("x",) * w, (*rows, ()))
+        with time_limit(1):
+            value = eval_term(GraphicalTerm(diagram, ("P", "P")), model)
+        assert value.tuples == {()}
+
+    def test_long_paths_keep_their_frames_short(self):
+        # The traced peak of evaluating the 2,003-cell path on the 5-cycle,
+        # exposing its endpoints or every dot: 0.7-0.8 MiB here, and 16 MiB
+        # when dead dots never leave the frames, which then all hold about
+        # k atoms at the deepest step.  Unlike a time limit, it does not
+        # depend on the host's speed.
+        n, k = 5, 2003
+        atoms = tuple(str(i) for i in range(n))
+        edges = [(atoms[i], atoms[(i + 1) % n]) for i in range(n)]
+        model = mk_model({"x": atoms}, {"E": mk_context(("x", "x"))}, {"E": edges})
+        for out in ([0, k], list(range(k + 1))):
+            path = with_out_row(path_term(k), out)
+            eval_term(path, model)  # the index is built once, outside the trace
+            tracemalloc.start()
+            try:
+                value = eval_term(path, model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(value.tuples) == n
+            assert peak < 4 * 2**20, peak
+
+    def test_long_out_rows_agree_with_the_closed_form(self):
+        # Paths on the directed 5-cycle, their cells in seeded orders, whose
+        # out rows read more than DROP_BATCH dots in a seeded order with
+        # repeats: v(j) is atom i + j for each start i, so the value is known
+        # without the naive evaluator, which cannot walk 5^k assignments.
+        rng = Random(415)
+        n = 5
+        atoms = tuple(str(i) for i in range(n))
+        edges = [(atoms[i], atoms[(i + 1) % n]) for i in range(n)]
+        model = mk_model({"x": atoms}, {"E": mk_context(("x", "x"))}, {"E": edges})
+        moved = 0
+        for k in (40, 75, 130):
+            for _ in range(6):
+                dots = rng.sample(range(k + 1), rng.randint(DROP_BATCH + 1, k + 1))
+                out = dots + rng.choices(dots, k=rng.randint(0, 5))
+                rng.shuffle(out)
+                term = permute_slots(
+                    with_out_row(path_term(k), out), rng.sample(range(k), k)
+                )
+                steps = _plan(term, model)[1]
+                early = [dot for *_, drop in steps[:-1] for dot in drop]
+                moved += len(set(early) & set(term.diagram.wires[-1])) >= DROP_BATCH
+                assert eval_term(term, model).tuples == {
+                    tuple(atoms[(i + j) % n] for j in out) for i in range(n)
+                }
+        assert moved >= 10, moved
+
+    @pytest.mark.parametrize("batch", [DROP_BATCH, 1])
+    def test_frame_layouts_agree_with_naive(self, batch, monkeypatch):
+        # The out row is read off the last frame, so give each flat term
+        # other out rows over the same cells: permuted, with a dot repeated,
+        # and leading with a dot the last step binds, then an earlier one.
+        # With a batch of 1, dead dots leave as soon as they are as many as
+        # the live ones, so frames are cut short and dead outer dots head
+        # the out rows.
+        monkeypatch.setattr(model_mod, "DROP_BATCH", batch)
+        rng = Random(414)
+        built = Counter()
+        for term, model in join_plan_cases(300):
+            flat = flatten(term)
+            d = flat.diagram
+            out = d.wires[-1]
+            outs = {"permuted": rng.sample(out, len(out))}
+            if out:
+                outs["repeated"] = [*out, rng.choice(out)]
+            if all(model.domain(s) for s in d.support) and flat.cells:
+                steps = _plan(flat, model)[1]
+                earlier = [dot for _, _, new, _ in steps[:-1] for dot in new]
+                if steps[-1][2] and earlier:
+                    first = (rng.choice(steps[-1][2]), rng.choice(earlier))
+                    outs["last-step dot first"] = [*first, *out]
+            for kind, row in outs.items():
+                other = with_out_row(flat, row)
+                assert eval_term(other, model) == eval_term_naive(other, model)
+                built[kind] += 1
+        assert min(built.values()) >= 50 and len(built) == 3, built
+
     def test_slot_order_does_not_change_the_value(self):
         # Random orders of the cells, at the top level and after flattening,
         # evaluate to the naive enumerator's value of the written term.
@@ -566,7 +745,7 @@ class TestJoinPlan:
         for term, model in cases:
             order, steps = _plan(term, model)
             assert sorted(order) == list(range(len(term.cells)))
-            assert all(key for _, key, _ in steps[1 : len(order)]), term
+            assert all(key for _, key, *_ in steps[1 : len(order)]), term
 
 
 def binary_query(
